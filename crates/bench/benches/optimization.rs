@@ -5,7 +5,9 @@ use autopilot_bench::tinybench::{BenchmarkId, Criterion};
 use autopilot_bench::{bench_group, bench_main};
 use autopilot_rng::Rng;
 use dse_opt::linalg::sq_dist;
-use dse_opt::pareto::{hypervolume, hypervolume_contribution, ContributionScorer};
+use dse_opt::pareto::{
+    hypervolume, hypervolume_contribution, hypervolume_trace, ContributionScorer,
+};
 use dse_opt::{
     DesignSpace, EvalError, Evaluator, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer,
     RandomSearch, SmsEgoOptimizer, SparseGaussianProcess,
@@ -229,6 +231,32 @@ fn bench_hypervolume(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_result_assembly(c: &mut Criterion) {
+    // `OptimizationResult::from_history`'s hypervolume trace over a
+    // 3-objective history: the naive per-prefix `hypervolume` recompute
+    // against the incremental trace that recomputes only when the front
+    // changes. Both produce the same bits.
+    let mut group = c.benchmark_group("result_assembly");
+    group.sample_size(3);
+    let mut rng = Rng::seed_from_u64(11);
+    let reference = [1.2, 1.2, 1.2];
+    for n in [500usize, 2000] {
+        let history: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..3).map(|_| rng.next_f64()).collect()).collect();
+        group.bench_with_input(BenchmarkId::new("naive", n), &history, |b, history| {
+            b.iter(|| {
+                let trace: Vec<f64> =
+                    (1..=history.len()).map(|k| hypervolume(&history[..k], &reference)).collect();
+                black_box(trace)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("incremental", n), &history, |b, history| {
+            b.iter(|| black_box(hypervolume_trace(history.iter().map(Vec::as_slice), &reference)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_optimizers(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer_run_budget40");
     group.sample_size(10);
@@ -261,6 +289,7 @@ bench_group!(
     bench_sparse_inference,
     bench_fastexp,
     bench_hypervolume,
+    bench_result_assembly,
     bench_optimizers
 );
 bench_main!(benches);

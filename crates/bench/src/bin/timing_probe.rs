@@ -45,7 +45,8 @@
 //! Set `AUTOPILOT_BENCH_BUDGET=<n>` to switch to the *scale probe*: one
 //! instrumented sequential Phase-2 run at the given budget (large enough
 //! to engage the sparse surrogate), emitting `BENCH_phase2_scale.json`
-//! with the acquisition-to-run span ratio, the sparse-vs-exact inference
+//! with the acquisition-to-run span ratio, the result-assembly span
+//! (`span_dse_result_assemble_s`), the sparse-vs-exact inference
 //! speedup (`gp_sparse_speedup`), and the incremental-surrogate
 //! counters. The verify-script scale guard runs this at budget 2000.
 //!
@@ -443,6 +444,7 @@ fn scale_probe(budget: usize) {
     let span_score_s = snap.span_total_s("bo.acquisition.score");
     let span_gp_predict_s = snap.span_total_s("bo.acquisition.gp_predict");
     let span_hv_score_s = snap.span_total_s("bo.acquisition.hv_score");
+    let span_assemble_s = snap.span_total_s("dse.result.assemble");
     let score_ratio = span_score_s / span_phase2_run_s.max(1e-12);
 
     // Sparse-vs-exact batched inference over this run's archive, same
@@ -553,6 +555,7 @@ fn scale_probe(budget: usize) {
         ("span_bo_acquisition_score_s".into(), num(span_score_s)),
         ("span_bo_acquisition_gp_predict_s".into(), num(span_gp_predict_s)),
         ("span_bo_acquisition_hv_score_s".into(), num(span_hv_score_s)),
+        ("span_dse_result_assemble_s".into(), num(span_assemble_s)),
         ("acquisition_score_ratio".into(), num(score_ratio)),
         ("gp_sparse_speedup".into(), num(gp_sparse_speedup)),
         ("gp_sparse_speedup_exact_n".into(), num(n_exact as f64)),
@@ -580,6 +583,6 @@ fn scale_probe(budget: usize) {
     println!(
         "scale probe: budget {budget} in {wall_s:.2}s | score span {span_score_s:.3}s / run span \
          {span_phase2_run_s:.3}s (ratio {score_ratio:.3}) | gp {span_gp_predict_s:.3}s / hv \
-         {span_hv_score_s:.3}s | sparse speedup {gp_sparse_speedup:.1}x (exact n={n_exact})"
+         {span_hv_score_s:.3}s | assembly {span_assemble_s:.3}s | sparse speedup {gp_sparse_speedup:.1}x (exact n={n_exact})"
     );
 }

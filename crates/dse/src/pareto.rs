@@ -215,10 +215,52 @@ pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
     }
     let idx = pareto_indices(&filtered);
     let front: Vec<Vec<f64>> = idx.into_iter().map(|i| filtered[i].clone()).collect();
-    match d {
+    front_hypervolume(&front, reference)
+}
+
+/// The hypervolume after each prefix of `points`: entry `i` equals
+/// `hypervolume(&points[..=i], reference)` **bit for bit**, at
+/// O(n·|front|) dominance checks plus one front-only recompute per
+/// front change instead of a full filter-and-recompute per prefix.
+///
+/// Points strictly inside the reference box go through one
+/// [`IncrementalFront`], which holds exactly the members — in exactly
+/// the order — that [`hypervolume`]'s `pareto_indices` pass keeps for
+/// the same prefix. A point that leaves the front unchanged (outside
+/// the box, dominated, or a duplicate) repeats the previous entry; an
+/// admitted point recomputes the hypervolume of the front alone, which
+/// is the very input `hypervolume` hands its 1-D/2-D/3-D kernels.
+///
+/// # Panics
+///
+/// Panics for more than three objectives or mismatched dimensions, at
+/// the first point where the per-prefix [`hypervolume`] would.
+pub fn hypervolume_trace<'a, I>(points: I, reference: &[f64]) -> Vec<f64>
+where
+    I: IntoIterator<Item = &'a [f64]>,
+{
+    let d = reference.len();
+    let mut front = IncrementalFront::new();
+    let mut hv = 0.0;
+    let mut trace = Vec::new();
+    for (i, p) in points.into_iter().enumerate() {
+        assert!((1..=3).contains(&d), "hypervolume implemented for 1-3 objectives, got {d}");
+        assert_eq!(p.len(), d, "objective dimension mismatch");
+        if p.iter().zip(reference).all(|(x, r)| x < r) && front.push(i, p.to_vec()) {
+            hv = front_hypervolume(front.points(), reference);
+        }
+        trace.push(hv);
+    }
+    trace
+}
+
+/// Hypervolume of a non-empty, mutually non-dominated, duplicate-free
+/// front lying strictly inside `reference` (1 to 3 objectives).
+fn front_hypervolume(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+    match reference.len() {
         1 => reference[0] - front.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min),
-        2 => hv2d(&front, reference),
-        _ => hv3d(&front, reference),
+        2 => hv2d(front, reference),
+        _ => hv3d(front, reference),
     }
 }
 
@@ -271,9 +313,15 @@ pub fn hypervolume_contribution(front: &[Vec<f64>], candidate: &[f64], reference
 fn hv2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     let mut pts: Vec<(f64, f64)> = front.iter().map(|p| (p[0], p[1])).collect();
     pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+    sweep_area(&pts, reference)
+}
+
+/// The left-to-right sweep of [`hv2d`] over points already in ascending
+/// x: the dominated area of the boxes `[(xᵢ, yᵢ), reference]`.
+fn sweep_area(pts: &[(f64, f64)], reference: &[f64]) -> f64 {
     let mut hv = 0.0;
     let mut prev_y = reference[1];
-    for (x, y) in pts {
+    for &(x, y) in pts {
         if y < prev_y {
             hv += (reference[0] - x) * (prev_y - y);
             prev_y = y;
@@ -285,20 +333,28 @@ fn hv2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 /// 3-D hypervolume by slicing along the third objective: between
 /// consecutive z-levels the dominated area is the 2-D hypervolume of the
 /// points at or below the slab.
+///
+/// The points at or below the slab are kept as their 2-D non-dominated
+/// staircase by sorted insertion ([`stair_slot`]), so each slab costs one
+/// O(k) sweep instead of a fresh O(k²) Pareto filter. The staircase holds
+/// exactly the set `pareto_indices` keeps over the same points (the
+/// first of any exact duplicates, which a 3-D front cannot contain
+/// anyway), in strictly ascending x — the order `hv2d`'s sort produces —
+/// so every slab area, and hence the volume, is bit-identical to the
+/// filter-per-slab formulation.
 fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     let mut order: Vec<usize> = (0..front.len()).collect();
     order.sort_by(|&a, &b| front[a][2].total_cmp(&front[b][2]));
     let mut hv = 0.0;
-    let mut active: Vec<Vec<f64>> = Vec::new();
+    let mut stairs: Vec<(f64, f64)> = Vec::with_capacity(front.len());
     for (rank, &i) in order.iter().enumerate() {
-        let z_lo = front[i][2];
+        let (x, y, z_lo) = (front[i][0], front[i][1], front[i][2]);
         let z_hi = if rank + 1 < order.len() { front[order[rank + 1]][2] } else { reference[2] };
-        active.push(vec![front[i][0], front[i][1]]);
+        if let Some((lo, hi)) = stair_slot(&stairs, x, y) {
+            stairs.splice(lo..hi, [(x, y)]);
+        }
         if z_hi > z_lo {
-            let ref2 = [reference[0], reference[1]];
-            let idx = pareto_indices(&active);
-            let front2: Vec<Vec<f64>> = idx.iter().map(|&j| active[j].clone()).collect();
-            hv += hv2d(&front2, &ref2) * (z_hi - z_lo);
+            hv += sweep_area(&stairs, reference) * (z_hi - z_lo);
         }
     }
     hv
@@ -318,8 +374,8 @@ fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 ///   the naive in-order scan.
 /// * [`ContributionScorer::contribution`] replaces the generic
 ///   `hypervolume(clipped)` recomputation inside
-///   [`hypervolume_contribution`] — which re-runs Pareto filtering per
-///   z-slab, O(k³) worst-case in three objectives — with a single
+///   [`hypervolume_contribution`] — an O(k²) Pareto filter plus one
+///   staircase sweep per z-slab in three objectives — with a single
 ///   z-sweep that maintains the clipped union's 2-D staircase *and its
 ///   area* incrementally, O(k log k) typical / O(k²) worst-case. Within
 ///   ~1e-9 of the rescan (floating-point reassociation only).
@@ -543,28 +599,37 @@ fn union_volume_3d(
     volume
 }
 
-/// Inserts `(x, y)` into a staircase of mutually non-dominated points
-/// (x strictly ascending, y strictly descending), keeping `area` — the
-/// union area of the boxes `[(xᵢ, yᵢ), reference]` — consistent via the
-/// slab identity `area = Σ (x_{i+1} − xᵢ)(ref₁ − yᵢ)` (with `x_{last+1}`
-/// = `ref₀`). Covered points are no-ops; points dominated by the new one
-/// are evicted as one contiguous block.
-fn insert_stair(stairs: &mut Vec<(f64, f64)>, area: &mut f64, x: f64, y: f64, reference: &[f64]) {
+/// Where `(x, y)` belongs in a staircase of mutually non-dominated
+/// points (x strictly ascending, y strictly descending): `None` when an
+/// existing stair covers it — a predecessor at strictly smaller x with y
+/// no larger, or a stair at exactly this x with y no larger — otherwise
+/// the contiguous block `lo..hi` of stairs it dominates (possibly empty),
+/// which the new point replaces.
+fn stair_slot(stairs: &[(f64, f64)], x: f64, y: f64) -> Option<(usize, usize)> {
     let lo = stairs.partition_point(|p| p.0 < x);
-    // Covered: a predecessor at strictly smaller x with y no larger, or
-    // an existing stair at exactly this x with y no larger.
     if lo > 0 && stairs[lo - 1].1 <= y {
-        return;
+        return None;
     }
     if lo < stairs.len() && stairs[lo].0 == x && stairs[lo].1 <= y {
-        return;
+        return None;
     }
-    // Evict the contiguous block the new point dominates (y descending
-    // makes `p.1 >= y` a prefix property from `lo`).
+    // y descending makes `p.1 >= y` a prefix property from `lo`.
     let mut hi = lo;
     while hi < stairs.len() && stairs[hi].1 >= y {
         hi += 1;
     }
+    Some((lo, hi))
+}
+
+/// Inserts `(x, y)` into a staircase (see [`stair_slot`]), keeping
+/// `area` — the union area of the boxes `[(xᵢ, yᵢ), reference]` —
+/// consistent via the slab identity `area = Σ (x_{i+1} − xᵢ)(ref₁ − yᵢ)`
+/// (with `x_{last+1}` = `ref₀`). Covered points are no-ops; points
+/// dominated by the new one are evicted as one contiguous block.
+fn insert_stair(stairs: &mut Vec<(f64, f64)>, area: &mut f64, x: f64, y: f64, reference: &[f64]) {
+    let Some((lo, hi)) = stair_slot(stairs, x, y) else {
+        return;
+    };
     for j in lo..hi {
         let right = if j + 1 < stairs.len() { stairs[j + 1].0 } else { reference[0] };
         *area -= (right - stairs[j].0) * (reference[1] - stairs[j].1);

@@ -2,7 +2,7 @@
 
 use autopilot_obs as obs;
 
-use crate::pareto::{hypervolume, pareto_indices};
+use crate::pareto::{hypervolume_trace, pareto_indices};
 
 /// One evaluated design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,12 +36,10 @@ impl OptimizationResult {
         evaluations: Vec<EvaluationRecord>,
         reference_point: Vec<f64>,
     ) -> OptimizationResult {
-        let mut trace = Vec::with_capacity(evaluations.len());
-        let mut seen: Vec<Vec<f64>> = Vec::new();
-        for ev in &evaluations {
-            seen.push(ev.objectives.clone());
-            trace.push(hypervolume(&seen, &reference_point));
-        }
+        let trace = {
+            let _span = obs::span("dse.result.assemble");
+            hypervolume_trace(evaluations.iter().map(|e| e.objectives.as_slice()), &reference_point)
+        };
         let result = OptimizationResult {
             algorithm: algorithm.into(),
             evaluations,
@@ -133,5 +131,21 @@ mod tests {
         assert_eq!(r.final_hypervolume(), 0.0);
         assert!(r.pareto_front().is_empty());
         assert_eq!(r.evaluations_to_fraction(0.9), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "objective dimension mismatch")]
+    fn mismatched_objective_dimension_panics() {
+        OptimizationResult::from_history(
+            "bad",
+            vec![record(0, vec![1.0, 1.0]), record(1, vec![1.0, 1.0, 1.0])],
+            vec![6.0, 6.0],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "1-3 objectives")]
+    fn four_objectives_panic() {
+        OptimizationResult::from_history("bad", vec![record(0, vec![1.0; 4])], vec![6.0; 4]);
     }
 }

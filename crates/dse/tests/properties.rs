@@ -3,12 +3,13 @@
 
 use autopilot_rng::Rng;
 use dse_opt::pareto::{
-    crowding_distance, dominates, hypervolume, inverted_generational_distance, non_dominated_sort,
-    pareto_indices, IncrementalFront,
+    crowding_distance, dominates, hypervolume, hypervolume_trace, inverted_generational_distance,
+    non_dominated_sort, pareto_indices, IncrementalFront,
 };
 use dse_opt::{
-    AnnealingOptimizer, CachedEvaluator, DesignSpace, EvalError, Evaluator, ExhaustiveSearch,
-    GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch, SparseGaussianProcess,
+    AnnealingOptimizer, CachedEvaluator, DesignSpace, EvalError, EvaluationRecord, Evaluator,
+    ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
+    RandomSearch, SparseGaussianProcess,
 };
 
 const CASES: u64 = 64;
@@ -355,6 +356,233 @@ fn exact_gp_truncate_then_extend_roundtrip_is_bitwise() {
         for (q, want) in pool.iter().zip(&before) {
             let (m, v) = gp.predict(q);
             assert_eq!((m.to_bits(), v.to_bits()), *want, "case {case}: round trip drifted");
+        }
+    }
+}
+
+/// Test-only oracle: the 2-D sweep `hypervolume` used before the
+/// incremental trace.
+fn oracle_hv2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let mut pts: Vec<(f64, f64)> = front.iter().map(|p| (p[0], p[1])).collect();
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut hv = 0.0;
+    let mut prev_y = reference[1];
+    for (x, y) in pts {
+        if y < prev_y {
+            hv += (reference[0] - x) * (prev_y - y);
+            prev_y = y;
+        }
+    }
+    hv
+}
+
+/// Test-only oracle: the 3-D slicing kernel with a fresh
+/// `pareto_indices` filter of the active points on every slab.
+fn oracle_hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let mut order: Vec<usize> = (0..front.len()).collect();
+    order.sort_by(|&a, &b| front[a][2].total_cmp(&front[b][2]));
+    let mut hv = 0.0;
+    let mut active: Vec<Vec<f64>> = Vec::new();
+    for (rank, &i) in order.iter().enumerate() {
+        let z_lo = front[i][2];
+        let z_hi = if rank + 1 < order.len() { front[order[rank + 1]][2] } else { reference[2] };
+        active.push(vec![front[i][0], front[i][1]]);
+        if z_hi > z_lo {
+            let ref2 = [reference[0], reference[1]];
+            let idx = pareto_indices(&active);
+            let front2: Vec<Vec<f64>> = idx.iter().map(|&j| active[j].clone()).collect();
+            hv += oracle_hv2d(&front2, &ref2) * (z_hi - z_lo);
+        }
+    }
+    hv
+}
+
+/// Test-only oracle: filter to the reference box, Pareto-filter, then
+/// the kernels above.
+fn oracle_hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let filtered: Vec<Vec<f64>> =
+        points.iter().filter(|p| p.iter().zip(reference).all(|(x, r)| x < r)).cloned().collect();
+    if filtered.is_empty() {
+        return 0.0;
+    }
+    let front: Vec<Vec<f64>> =
+        pareto_indices(&filtered).into_iter().map(|i| filtered[i].clone()).collect();
+    match reference.len() {
+        1 => reference[0] - front.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min),
+        2 => oracle_hv2d(&front, reference),
+        _ => oracle_hv3d(&front, reference),
+    }
+}
+
+/// A seeded 64-bit LCG (Knuth's MMIX constants): history generation
+/// that depends on nothing outside this file.
+struct Lcg(u64);
+
+impl Lcg {
+    fn new(seed: u64) -> Lcg {
+        Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A coordinate on a quarter grid over `[0, 4.5)` against a reference
+    /// of 4.0 per axis, so coordinate ties happen on every axis and some
+    /// points sit exactly on the reference boundary or outside it. Zero
+    /// comes out as `-0.0` half of the time (equal to `0.0` under
+    /// dominance, distinct under `total_cmp`), and rarely as NaN.
+    fn coord(&mut self) -> f64 {
+        match self.below(200) {
+            0 => f64::NAN,
+            _ => {
+                let v = self.below(18) as f64 / 4.0;
+                if v == 0.0 && self.below(2) == 0 {
+                    -0.0
+                } else {
+                    v
+                }
+            }
+        }
+    }
+}
+
+const TRACE_REFERENCE: f64 = 4.0;
+
+/// Quantized random points, one in eight an exact repeat of an earlier
+/// point, ending in an all-dominated (or out-of-box) tail of `tail`
+/// points, each an earlier point pushed up on at least one axis.
+fn quantized_history(rng: &mut Lcg, d: usize, n: usize, tail: usize) -> Vec<Vec<f64>> {
+    let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n + tail);
+    while pts.len() < n {
+        if !pts.is_empty() && rng.below(8) == 0 {
+            let j = rng.below(pts.len() as u64) as usize;
+            pts.push(pts[j].clone());
+        } else {
+            pts.push((0..d).map(|_| rng.coord()).collect());
+        }
+    }
+    for _ in 0..tail {
+        let base = pts[rng.below(n as u64) as usize].clone();
+        let bump = rng.below(d as u64) as usize;
+        pts.push(
+            base.iter()
+                .enumerate()
+                .map(|(k, v)| v + if k == bump { 0.25 } else { rng.below(2) as f64 / 4.0 })
+                .collect(),
+        );
+    }
+    pts
+}
+
+/// Strictly improving history: every point dominates the one before it,
+/// so every point enters the front and evicts its predecessor.
+fn improving_history(d: usize, n: usize) -> Vec<Vec<f64>> {
+    (0..n).map(|k| (0..d).map(|j| 3.9 - k as f64 * (0.005 + j as f64 * 0.001)).collect()).collect()
+}
+
+/// A growing front: points on the plane `Σ x = 6` in random order, on a
+/// 1/2048 grid so the projection is exact and no point dominates
+/// another — every point is admitted and none is ever evicted. In three
+/// objectives one in five reuses an earlier point's x, forcing staircase
+/// ties between members.
+fn growing_front_history(rng: &mut Lcg, d: usize, n: usize) -> Vec<Vec<f64>> {
+    let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n);
+    let mut seen = std::collections::HashSet::new();
+    while pts.len() < n {
+        let mut p: Vec<f64> = (0..d).map(|_| (rng.below(4096) as f64 + 0.5) / 1024.0).collect();
+        if !pts.is_empty() && rng.below(5) == 0 {
+            p[0] = pts[rng.below(pts.len() as u64) as usize][0];
+        }
+        let head: f64 = p[..d - 1].iter().sum();
+        p[d - 1] = 6.0 - head;
+        let key: Vec<u64> = p.iter().map(|v| v.to_bits()).collect();
+        if p.iter().all(|v| *v > 0.0 && *v < TRACE_REFERENCE) && seen.insert(key) {
+            pts.push(p);
+        }
+    }
+    pts
+}
+
+/// Asserts that the assembled trace and every per-prefix `hypervolume`
+/// call equal the naive prefix recompute through the oracle kernels,
+/// bit for bit.
+fn assert_trace_bit_identical(label: &str, points: &[Vec<f64>], reference: &[f64]) -> Vec<f64> {
+    let records: Vec<EvaluationRecord> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| EvaluationRecord { iteration: i, point: vec![i], objectives: p.clone() })
+        .collect();
+    let result = OptimizationResult::from_history("oracle", records, reference.to_vec());
+    let direct = hypervolume_trace(points.iter().map(Vec::as_slice), reference);
+    assert_eq!(result.hypervolume_trace.len(), points.len(), "{label}");
+    for i in 0..points.len() {
+        let naive = oracle_hypervolume(&points[..=i], reference);
+        let got = result.hypervolume_trace[i];
+        assert_eq!(got.to_bits(), naive.to_bits(), "{label}: trace[{i}] {got} vs naive {naive}");
+        assert_eq!(direct[i].to_bits(), naive.to_bits(), "{label}: hypervolume_trace[{i}]");
+        let call = hypervolume(&points[..=i], reference);
+        assert_eq!(call.to_bits(), naive.to_bits(), "{label}: hypervolume(prefix {i})");
+    }
+    result.hypervolume_trace
+}
+
+/// The incremental hypervolume trace equals the naive prefix-recompute
+/// trace bit for bit, and `hypervolume` equals the per-slab
+/// `pareto_indices` kernel bit for bit, on quantized histories with
+/// exact duplicates, ties on every axis, boundary and out-of-box
+/// points, and an all-dominated tail (which must leave the trace flat).
+#[test]
+fn hypervolume_trace_is_bit_identical_to_naive_recompute() {
+    for d in 1..=3usize {
+        let reference = vec![TRACE_REFERENCE; d];
+        for (case, &n) in [40usize, 90, 150, 230, 600].iter().enumerate() {
+            let mut rng = Lcg::new(0x4856_0000 + (d * 16 + case) as u64);
+            let tail = n / 4;
+            let points = quantized_history(&mut rng, d, n - tail, tail);
+            let label = format!("quantized d={d} n={n}");
+            let trace = assert_trace_bit_identical(&label, &points, &reference);
+            let plateau = trace[n - tail - 1].to_bits();
+            assert!(
+                trace[n - tail..].iter().all(|h| h.to_bits() == plateau),
+                "{label}: the all-dominated tail moved the trace"
+            );
+
+            // Unquantized coordinates over the same box: general-position
+            // fronts instead of grid ties.
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| rng.next() as f64 / (1u64 << 31) as f64 * 4.5).collect())
+                .collect();
+            assert_trace_bit_identical(&format!("continuous d={d} n={n}"), &points, &reference);
+        }
+    }
+}
+
+/// Bit identity on a strictly improving history (every point admitted,
+/// every predecessor evicted) followed by an all-dominated tail, and on
+/// a growing front where every point is admitted and kept.
+#[test]
+fn hypervolume_trace_is_bit_identical_on_structured_histories() {
+    for d in 1..=3usize {
+        let reference = vec![TRACE_REFERENCE; d];
+        let mut points = improving_history(d, 200);
+        let best = points[199].clone();
+        points.extend((1..=100).map(|k| best.iter().map(|v| v + k as f64 / 64.0).collect()));
+        let trace = assert_trace_bit_identical(&format!("improving d={d}"), &points, &reference);
+        assert!(trace[..200].windows(2).all(|w| w[1] > w[0]), "d={d}: not strictly improving");
+        assert!(trace[200..].iter().all(|h| h.to_bits() == trace[199].to_bits()));
+
+        if d > 1 {
+            let n = if d == 2 { 300 } else { 110 };
+            let mut rng = Lcg::new(0x4856_1000 + d as u64);
+            let points = growing_front_history(&mut rng, d, n);
+            let trace = assert_trace_bit_identical(&format!("growing d={d}"), &points, &reference);
+            assert!(trace.windows(2).all(|w| w[1] > w[0]), "d={d}: growing front must grow");
         }
     }
 }

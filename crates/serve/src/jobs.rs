@@ -24,7 +24,9 @@
 //! and one sharded [`CandidateCache`] per `(scenario, success model,
 //! seed)` key, with entries owner-tagged by job id so cross-run reuse
 //! is observable (`systolic.memo.cross_run_hits`,
-//! `phase2.candidate_cache.cross_run_hits`).
+//! `phase2.candidate_cache.cross_run_hits`). Every one of them is
+//! bounded with clock eviction, so the cost of a request stays bounded
+//! too.
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{
@@ -33,11 +35,12 @@ use autopilot::{
 };
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
+use autopilot_shard::{ShardStats, ShardedMap};
 use dse_opt::{KernelExpMode, RunControl};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use systolic_sim::LayerMemo;
+use systolic_sim::{LayerMemo, MemoStats};
 use uav_dynamics::{Airframe, UavSpec};
 
 /// Largest accepted Phase-2 budget per job (admission-time guard
@@ -291,20 +294,47 @@ impl Job {
     }
 }
 
-/// Process-lifetime caches shared by every job the server runs.
+/// Entry cap of the process-lifetime layer memo; clock eviction past it.
+const LAYER_MEMO_CAPACITY: usize = 1 << 17;
+
+/// `(scenario, success model, seed)` keys each per-seed cache map holds
+/// before clock-evicting the coldest key.
+const SCENARIO_KEY_CAPACITY: usize = 64;
+
+/// Process-lifetime caches shared by every job the server runs, each
+/// bounded so memory stays flat however many distinct seeds arrive.
 ///
 /// * `layer_memo` — the sharded per-(config, layer) simulation memo;
-///   scenario-independent, so one instance serves every tenant.
+///   scenario-independent, so one instance serves every tenant. Bounded
+///   at `LAYER_MEMO_CAPACITY` (2¹⁷) entries.
 /// * `candidates` — one sharded, bounded [`CandidateCache`] per
 ///   `(scenario, success model, seed)` key: candidates are functions of
 ///   the evaluator identity, so the key pins everything that identity
 ///   depends on.
 /// * `phase1` — scenario databases, keyed the same way.
+///
+/// The two per-seed maps hold at most `SCENARIO_KEY_CAPACITY` (64) keys
+/// each, with the same [`ShardedMap`] clock eviction the memo uses.
+/// Eviction never changes a result: a running job keeps its own `Arc`
+/// to the cache it started with, and a later job whose key was evicted
+/// rebuilds the same deterministic database and re-evaluates into a
+/// fresh cache.
 #[derive(Debug)]
 pub struct SharedCaches {
     layer_memo: Arc<LayerMemo>,
-    phase1: Mutex<HashMap<String, AirLearningDatabase>>,
-    candidates: Mutex<HashMap<String, Arc<CandidateCache>>>,
+    phase1: ShardedMap<String, Arc<AirLearningDatabase>>,
+    candidates: ShardedMap<String, Arc<CandidateCache>>,
+}
+
+/// Occupancy and eviction counters of the [`SharedCaches`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedCacheStats {
+    /// The layer memo's traffic, entries and evictions.
+    pub layer_memo: MemoStats,
+    /// The Phase-1 database map (`entries` counts scenario keys).
+    pub phase1: ShardStats,
+    /// The candidate-cache map (`entries` counts scenario keys).
+    pub candidates: ShardStats,
 }
 
 impl Default for SharedCaches {
@@ -314,13 +344,24 @@ impl Default for SharedCaches {
 }
 
 impl SharedCaches {
-    /// Creates the shared cache set (layer memo enabled and unbounded,
-    /// candidate caches bounded with clock eviction).
+    /// Creates the server's cache set: the layer memo bounded at
+    /// `LAYER_MEMO_CAPACITY` entries, both per-seed maps at
+    /// `SCENARIO_KEY_CAPACITY` keys.
     pub fn new() -> SharedCaches {
+        SharedCaches::with_capacity(LAYER_MEMO_CAPACITY, SCENARIO_KEY_CAPACITY)
+    }
+
+    /// Creates a cache set with explicit bounds (each at least 1): a
+    /// layer memo of about `memo_entries` entries and per-seed maps of
+    /// `scenario_keys` keys.
+    fn with_capacity(memo_entries: usize, scenario_keys: usize) -> SharedCaches {
+        // One shard per per-seed map: the bound is then an exact key
+        // count, and a job touches each map once, so there is no
+        // contention to spread.
         SharedCaches {
-            layer_memo: Arc::new(LayerMemo::with_enabled(true)),
-            phase1: Mutex::new(HashMap::new()),
-            candidates: Mutex::new(HashMap::new()),
+            layer_memo: Arc::new(LayerMemo::bounded(memo_entries.max(1))),
+            phase1: ShardedMap::new(1, scenario_keys.max(1)),
+            candidates: ShardedMap::new(1, scenario_keys.max(1)),
         }
     }
 
@@ -333,7 +374,8 @@ impl SharedCaches {
         Arc::clone(&self.layer_memo)
     }
 
-    /// The Phase-1 database for a scenario key, populated on first use.
+    /// The Phase-1 database for a scenario key, populated on first use
+    /// (and again after its key was evicted).
     pub fn phase1_database(
         &self,
         scenario: ObstacleDensity,
@@ -341,17 +383,18 @@ impl SharedCaches {
         seed: u64,
     ) -> AirLearningDatabase {
         let key = SharedCaches::scenario_key(scenario, model, seed);
-        if let Some(db) = self.phase1.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+        if let Some((db, _)) = self.phase1.get(&key) {
             obs::add("serve.phase1_cache.hits", 1);
-            return db.clone();
+            return (*db).clone();
         }
         obs::add("serve.phase1_cache.misses", 1);
         let mut db = AirLearningDatabase::new();
         Phase1::new(model, seed).populate(scenario, &mut db);
-        self.phase1.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_insert(db).clone()
+        (*self.phase1.get_or_insert(key, Arc::new(db), 0)).clone()
     }
 
-    /// The shared candidate cache for a scenario key.
+    /// The shared candidate cache for a scenario key (a fresh one after
+    /// the key was evicted).
     pub fn candidate_cache(
         &self,
         scenario: ObstacleDensity,
@@ -359,13 +402,23 @@ impl SharedCaches {
         seed: u64,
     ) -> Arc<CandidateCache> {
         let key = SharedCaches::scenario_key(scenario, model, seed);
-        Arc::clone(
-            self.candidates
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_insert_with(|| Arc::new(CandidateCache::bounded(CANDIDATE_CACHE_CAPACITY))),
-        )
+        match self.candidates.get(&key) {
+            Some((cache, _)) => cache,
+            None => self.candidates.get_or_insert(
+                key,
+                Arc::new(CandidateCache::bounded(CANDIDATE_CACHE_CAPACITY)),
+                0,
+            ),
+        }
+    }
+
+    /// Snapshots occupancy and eviction counters of all three caches.
+    pub fn stats(&self) -> SharedCacheStats {
+        SharedCacheStats {
+            layer_memo: self.layer_memo.stats(),
+            phase1: self.phase1.stats(),
+            candidates: self.candidates.stats(),
+        }
     }
 }
 
@@ -788,6 +841,62 @@ mod tests {
         let agg = cache.stats();
         assert_eq!(per_shard, (agg.hits + agg.misses) as u64, "shard counters must conserve");
         assert!(cache.cross_run_hits() > 0, "later jobs must reuse earlier jobs' entries");
+    }
+
+    fn seeded(seed: u64) -> String {
+        format!(
+            r#"{{"uav_class": "nano", "scenario": "low", "budget": 12,
+                 "optimizer": "random-search", "seed": {seed}}}"#
+        )
+    }
+
+    fn run_to_completion(mgr: &JobManager, body: &str) -> String {
+        let job = mgr.submit(body).unwrap();
+        let next = mgr.next_job().unwrap();
+        assert_eq!(next.id, job.id);
+        mgr.execute(&next);
+        assert_eq!(job.state(), JobState::Completed, "error: {:?}", job.error());
+        job.result_json().unwrap()
+    }
+
+    #[test]
+    fn shared_caches_stay_within_their_caps() {
+        const MEMO: usize = 64;
+        const KEYS: usize = 2;
+        let mut mgr = JobManager::new(4, defaults());
+        mgr.caches = SharedCaches::with_capacity(MEMO, KEYS);
+        for seed in 10..15u64 {
+            run_to_completion(&mgr, &seeded(seed));
+            let st = mgr.caches().stats();
+            assert!(st.layer_memo.entries <= MEMO, "memo over its cap: {st:?}");
+            assert!(st.candidates.entries <= KEYS, "candidate keys over cap: {st:?}");
+            assert!(st.phase1.entries <= KEYS, "phase-1 keys over cap: {st:?}");
+        }
+        let st = mgr.caches().stats();
+        assert_eq!(st.candidates.evictions, 3, "five seeds through two key slots");
+        assert_eq!(st.phase1.evictions, 3, "five seeds through two key slots");
+        assert!(st.layer_memo.evictions > 0, "a 64-entry memo must have evicted");
+    }
+
+    #[test]
+    fn evicted_spec_reruns_byte_identically() {
+        let mut mgr = JobManager::new(4, defaults());
+        mgr.caches = SharedCaches::with_capacity(64, 1);
+        let first = run_to_completion(&mgr, VALID);
+        // A second seed takes the only key slot of both per-seed maps.
+        run_to_completion(&mgr, &seeded(4));
+        let st = mgr.caches().stats();
+        assert_eq!((st.candidates.evictions, st.phase1.evictions), (1, 1), "{st:?}");
+        let rerun = run_to_completion(&mgr, VALID);
+        assert_eq!(rerun, first, "eviction must never change a result");
+
+        let config = autopilot::AutopilotConfig::fast(3)
+            .with_budget(12)
+            .with_optimizer(autopilot::OptimizerChoice::Random);
+        let pilot = autopilot::AutoPilot::new(config).with_job_config(defaults());
+        let result =
+            pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
+        assert_eq!(rerun, RunSummary::from_result(&result).to_json().unwrap());
     }
 
     #[test]

@@ -262,44 +262,82 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             }
             return false;
         }
+        let evicted = self.place(&mut st, key, value, owner);
+        drop(st);
+        self.count_insertion(si, evicted);
+        true
+    }
 
+    /// Returns the value resident under `key`, inserting `value` (tagged
+    /// with `owner`) first when the key is absent — an atomic
+    /// get-or-insert, so concurrent callers racing on one key all get the
+    /// same value back. Counts no hit or miss (callers that want them
+    /// look up with [`ShardedMap::get`] first); refreshes the referenced
+    /// bit of an existing entry, and may evict one cold entry, as
+    /// [`ShardedMap::insert`] does.
+    pub fn get_or_insert(&self, key: K, value: V, owner: u64) -> V {
+        let si = self.shard_index(&key);
+        let shard = &self.shards[si];
+        let mut st = shard.lock();
+        if let Some(&slot) = st.index.get(&key) {
+            if let Some(s) = st.slots[slot].as_mut() {
+                s.referenced = true;
+                return s.value.clone();
+            }
+        }
+        let evicted = self.place(&mut st, key, value.clone(), owner);
+        drop(st);
+        self.count_insertion(si, evicted);
+        value
+    }
+
+    /// Stores an absent `key` in a free slot, a new slot while the shard
+    /// is under capacity, or else the first cold slot of a clock sweep.
+    /// Returns `true` when an entry was evicted to make room.
+    fn place(&self, st: &mut ShardState<K, V>, key: K, value: V, owner: u64) -> bool {
         let slot = Slot { key: key.clone(), value, owner, referenced: true };
-        let mut evicted = false;
         if let Some(idx) = st.free.pop() {
             st.slots[idx] = Some(slot);
             st.index.insert(key, idx);
-        } else if self.per_shard_capacity == 0 || st.slots.len() < self.per_shard_capacity {
+            return false;
+        }
+        if self.per_shard_capacity == 0 || st.slots.len() < self.per_shard_capacity {
             st.slots.push(Some(slot));
             let idx = st.slots.len() - 1;
             st.index.insert(key, idx);
-        } else {
-            // Clock sweep: give referenced slots a second chance, evict
-            // the first cold one. Bounded by two revolutions.
-            let len = st.slots.len();
-            let mut victim = st.hand % len;
-            for _ in 0..(2 * len) {
-                let cold = match st.slots[victim % len].as_mut() {
-                    Some(s) if s.referenced => {
-                        s.referenced = false;
-                        false
-                    }
-                    _ => true,
-                };
-                if cold {
-                    break;
-                }
-                victim += 1;
-            }
-            let victim = victim % len;
-            st.hand = (victim + 1) % len;
-            if let Some(old) = st.slots[victim].take() {
-                st.index.remove(&old.key);
-            }
-            st.slots[victim] = Some(slot);
-            st.index.insert(key, victim);
-            evicted = true;
+            return false;
         }
-        drop(st);
+        // Clock sweep: give referenced slots a second chance, evict the
+        // first cold one. Bounded by two revolutions.
+        let len = st.slots.len();
+        let mut victim = st.hand % len;
+        for _ in 0..(2 * len) {
+            let cold = match st.slots[victim % len].as_mut() {
+                Some(s) if s.referenced => {
+                    s.referenced = false;
+                    false
+                }
+                _ => true,
+            };
+            if cold {
+                break;
+            }
+            victim += 1;
+        }
+        let victim = victim % len;
+        st.hand = (victim + 1) % len;
+        if let Some(old) = st.slots[victim].take() {
+            st.index.remove(&old.key);
+        }
+        st.slots[victim] = Some(slot);
+        st.index.insert(key, victim);
+        true
+    }
+
+    /// Bumps shard `si`'s insertion (and, if `evicted`, eviction)
+    /// counters after the shard lock is released.
+    fn count_insertion(&self, si: usize, evicted: bool) {
+        let shard = &self.shards[si];
         shard.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted {
             shard.evictions.fetch_add(1, Ordering::Relaxed);
@@ -307,7 +345,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
                 obs::add(&names[si].evictions, 1);
             }
         }
-        true
     }
 
     /// Live entry count across all shards.
@@ -421,6 +458,21 @@ mod tests {
         assert!(map.peek(&2).is_some(), "referenced key 2 was evicted");
         assert!(map.peek(&1).is_none(), "cold key 1 survived the sweep");
         assert!(map.peek(&3).is_none(), "cold key 3 survived the sweep");
+    }
+
+    #[test]
+    fn get_or_insert_keeps_the_resident_value_and_stays_bounded() {
+        let map: ShardedMap<u64, u64> = ShardedMap::new(1, 4);
+        assert_eq!(map.get_or_insert(1, 10, 7), 10);
+        assert_eq!(map.get_or_insert(1, 99, 8), 10, "resident value wins");
+        assert_eq!(map.get(&1), Some((10, 7)));
+        for k in 2..50 {
+            assert_eq!(map.get_or_insert(k, k * 10, 0), k * 10);
+        }
+        assert_eq!(map.len(), 4);
+        let st = map.stats();
+        assert_eq!((st.insertions, st.evictions), (49, 45));
+        assert_eq!((st.hits, st.misses), (1, 0), "get_or_insert counts no lookups");
     }
 
     #[test]
