@@ -177,46 +177,6 @@ fn bench_sparse_inference(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fastexp(c: &mut Criterion) {
-    // The kernel-panel exponential over panel-sized slices: scalar
-    // `f64::exp` per element (what `KernelExpMode::Exact` runs) against
-    // the batched Cody–Waite polynomial (`KernelExpMode::Fast`, ≤4 ULP).
-    // Inputs mirror real panel arguments: non-positive scaled squared
-    // distances in roughly [-40, 0].
-    let mut group = c.benchmark_group("gp_fastexp");
-    let mut rng = Rng::seed_from_u64(9);
-    for len in [4096usize, 16384] {
-        let args: Vec<f64> = (0..len).map(|_| -40.0 * rng.next_f64()).collect();
-        group.bench_with_input(BenchmarkId::new("exp_scalar", len), &args, |b, args| {
-            let mut buf = args.clone();
-            b.iter(|| {
-                buf.copy_from_slice(args);
-                for v in &mut buf {
-                    *v = v.exp();
-                }
-                black_box(buf[len / 2])
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("exp_slice_exact", len), &args, |b, args| {
-            let mut buf = args.clone();
-            b.iter(|| {
-                buf.copy_from_slice(args);
-                dse_opt::exp_slice(&mut buf, dse_opt::KernelExpMode::Exact);
-                black_box(buf[len / 2])
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("exp_slice_fast", len), &args, |b, args| {
-            let mut buf = args.clone();
-            b.iter(|| {
-                buf.copy_from_slice(args);
-                dse_opt::exp_slice(&mut buf, dse_opt::KernelExpMode::Fast);
-                black_box(buf[len / 2])
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_hypervolume(c: &mut Criterion) {
     let mut group = c.benchmark_group("hypervolume");
     let mut rng = Rng::seed_from_u64(2);
@@ -287,7 +247,6 @@ bench_group!(
     bench_kernel_assembly,
     bench_hv_incremental,
     bench_sparse_inference,
-    bench_fastexp,
     bench_hypervolume,
     bench_result_assembly,
     bench_optimizers

@@ -366,7 +366,6 @@ fn main() {
         ("span_bo_acquisition_score_s".into(), num(span_acquisition_score_s)),
         ("span_bo_front_sync_s".into(), num(span_front_sync_s)),
         ("span_bo_surrogate_update_s".into(), num(span_surrogate_s)),
-        ("kernel_exp_mode".into(), Value::Str(dse_opt::KernelExpMode::from_env().id().into())),
         ("bit_identical_across_threads".into(), Value::Bool(true)),
     ]);
     let json = report.to_json_pretty();
@@ -489,49 +488,6 @@ fn scale_probe(budget: usize) {
     });
     let gp_sparse_speedup = exact_batch_s / sparse_batch_s.max(1e-12);
 
-    // Panel-parallel probe: the same archive-sized kernel panel
-    // assembled single-stripe and column-striped across forced workers.
-    // The outputs must be bitwise identical (each entry's arithmetic
-    // never sees the stripe boundaries); the speedup is a structural
-    // floor, honest about the host — on a single-core box two forced
-    // workers time-slice one CPU, so ~1.0 is the expected reading there,
-    // and the budget-gate floor below 1.0 only catches the engine
-    // pessimizing parallel assembly outright.
-    let exp_mode = dse_opt::KernelExpMode::from_env();
-    let panel_rows: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
-    let panel_scale = -0.5 / ls;
-    let panel_workers = dse_opt::par::worker_count().max(2);
-    let panel_1_s = min_time(3, || {
-        let _ = std::hint::black_box(dse_opt::correlation_panel_with(
-            1,
-            &panel_rows,
-            &pool,
-            panel_scale,
-            exp_mode,
-        ));
-    });
-    let panel_n_s = min_time(3, || {
-        let _ = std::hint::black_box(dse_opt::correlation_panel_with(
-            panel_workers,
-            &panel_rows,
-            &pool,
-            panel_scale,
-            exp_mode,
-        ));
-    });
-    let gp_panel_parallel_speedup = panel_1_s / panel_n_s.max(1e-12);
-    let single = dse_opt::correlation_panel_with(1, &panel_rows, &pool, panel_scale, exp_mode);
-    let striped =
-        dse_opt::correlation_panel_with(panel_workers, &panel_rows, &pool, panel_scale, exp_mode);
-    assert!(
-        (0..single.rows()).all(|i| single
-            .row(i)
-            .iter()
-            .zip(striped.row(i))
-            .all(|(a, b)| a.to_bits() == b.to_bits())),
-        "striped panel assembly must be bit-identical to single-stripe assembly"
-    );
-
     // The band is only exercised once the archive outgrows the window;
     // any budget comfortably past it must have slid the exact window and
     // fired downdates (the counter this probe exists to keep alive).
@@ -568,13 +524,8 @@ fn scale_probe(budget: usize) {
         ("gp_retargets".into(), num(snap.counter("bo.gp.retarget") as f64)),
         ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(snap.counter("bo.hv.incremental") as f64)),
-        ("kernel_exp_mode".into(), Value::Str(exp_mode.id().into())),
-        ("gp_panel_parallel_speedup".into(), num(gp_panel_parallel_speedup)),
-        ("gp_panel_parallel_workers".into(), num(panel_workers as f64)),
         ("gp_panel_calls".into(), num(snap.counter("bo.gp.panel.calls") as f64)),
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),
-        ("gp_panel_inline".into(), num(snap.counter("bo.gp.panel.inline") as f64)),
-        ("gp_panel_parallel".into(), num(snap.counter("bo.gp.panel.parallel") as f64)),
         ("gp_panel_cache_hits".into(), num(snap.counter("bo.gp.panel.cache_hit") as f64)),
         ("gp_panel_cache_misses".into(), num(snap.counter("bo.gp.panel.cache_miss") as f64)),
     ]);

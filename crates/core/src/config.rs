@@ -15,7 +15,7 @@ use crate::phase2::Phase2;
 use crate::pipeline::AutopilotConfig;
 use crate::swap::SwapMode;
 use autopilot_obs as obs;
-use dse_opt::{KernelExpMode, SurrogateMode};
+use dse_opt::SurrogateMode;
 use systolic_sim::LayerMemo;
 
 /// Explicit per-job engine knobs: thread count, GP history window,
@@ -36,9 +36,6 @@ pub struct JobConfig {
     /// Surrogate mode for GP-based optimizers; `None` = the startup
     /// `AUTOPILOT_GP_SPARSE` default resolved at build time.
     pub surrogate: Option<SurrogateMode>,
-    /// Kernel exponential mode for GP-based optimizers; `None` = the
-    /// startup `AUTOPILOT_GP_FASTEXP` default resolved at build time.
-    pub exp_mode: Option<KernelExpMode>,
     /// Whether layer simulations go through the layer memo.
     pub layer_memo: bool,
     /// Whether this job asks for per-event tracing. Tracing is a
@@ -66,7 +63,6 @@ impl JobConfig {
             threads: None,
             gp_window: None,
             surrogate: None,
-            exp_mode: None,
             layer_memo: LayerMemo::env_default_enabled(),
             trace: obs::trace::enabled(),
             swap: SwapMode::from_env(),
@@ -89,12 +85,6 @@ impl JobConfig {
     /// Pins the surrogate mode.
     pub fn with_surrogate(mut self, mode: SurrogateMode) -> JobConfig {
         self.surrogate = Some(mode);
-        self
-    }
-
-    /// Pins the kernel exponential mode.
-    pub fn with_exp_mode(mut self, mode: KernelExpMode) -> JobConfig {
-        self.exp_mode = Some(mode);
         self
     }
 
@@ -133,9 +123,6 @@ impl JobConfig {
         if let Some(mode) = self.surrogate {
             phase2 = phase2.with_surrogate_mode(mode);
         }
-        if let Some(mode) = self.exp_mode {
-            phase2 = phase2.with_exp_mode(mode);
-        }
         phase2
     }
 
@@ -162,7 +149,6 @@ mod tests {
             .with_threads(3)
             .with_gp_window(128)
             .with_surrogate(SurrogateMode::Exact)
-            .with_exp_mode(KernelExpMode::Fast)
             .with_layer_memo(false)
             .with_trace(false)
             .with_swap(SwapMode::Constraint);
@@ -170,7 +156,6 @@ mod tests {
         assert_eq!(cfg.effective_threads(), 3);
         assert_eq!(cfg.gp_window, Some(128));
         assert_eq!(cfg.surrogate, Some(SurrogateMode::Exact));
-        assert_eq!(cfg.exp_mode, Some(KernelExpMode::Fast));
         assert!(!cfg.layer_memo);
         assert!(!cfg.trace);
         assert_eq!(cfg.swap, SwapMode::Constraint);

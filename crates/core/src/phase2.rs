@@ -488,7 +488,6 @@ pub struct Phase2 {
     threads: Option<usize>,
     gp_window: Option<usize>,
     surrogate: Option<dse_opt::SurrogateMode>,
-    exp_mode: Option<dse_opt::KernelExpMode>,
 }
 
 impl Phase2 {
@@ -502,7 +501,6 @@ impl Phase2 {
             threads: None,
             gp_window: None,
             surrogate: None,
-            exp_mode: None,
         }
     }
 
@@ -532,16 +530,6 @@ impl Phase2 {
     /// `AUTOPILOT_GP_SPARSE` environment default (others ignore it).
     pub fn with_surrogate_mode(mut self, mode: dse_opt::SurrogateMode) -> Phase2 {
         self.surrogate = Some(mode);
-        self
-    }
-
-    /// Pins the kernel exponential mode for GP-based optimizers,
-    /// overriding the `AUTOPILOT_GP_FASTEXP` environment default (others
-    /// ignore it). The default [`dse_opt::KernelExpMode::Exact`] is
-    /// bit-identical legacy behaviour; `Fast` trades ≤4 ULP of kernel
-    /// accuracy for a vectorizable in-repo exponential.
-    pub fn with_exp_mode(mut self, mode: dse_opt::KernelExpMode) -> Phase2 {
-        self.exp_mode = Some(mode);
         self
     }
 
@@ -610,7 +598,6 @@ impl Phase2 {
             seed_points: seeds,
             gp_window: self.gp_window,
             surrogate: self.surrogate,
-            exp_mode: self.exp_mode,
         };
         let mut opt = registry::build_optimizer(&self.optimizer, &ctx)?;
         let result = opt.run_controlled(&space, &cached, self.budget, control)?;

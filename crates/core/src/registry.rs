@@ -18,8 +18,8 @@
 //! ```
 
 use dse_opt::{
-    AnnealingOptimizer, ExhaustiveSearch, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
-    RandomSearch, SmsEgoOptimizer, SurrogateMode,
+    AnnealingOptimizer, ExhaustiveSearch, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch,
+    SmsEgoOptimizer, SurrogateMode,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -46,10 +46,6 @@ pub struct OptimizerContext {
     /// Explicit surrogate mode, overriding the `AUTOPILOT_GP_SPARSE`
     /// environment default. Factories for non-GP optimizers ignore it.
     pub surrogate: Option<SurrogateMode>,
-    /// Explicit kernel exponential mode, overriding the
-    /// `AUTOPILOT_GP_FASTEXP` environment default. Factories for non-GP
-    /// optimizers ignore it.
-    pub exp_mode: Option<KernelExpMode>,
 }
 
 impl OptimizerContext {
@@ -62,7 +58,6 @@ impl OptimizerContext {
             seed_points: Vec::new(),
             gp_window: None,
             surrogate: None,
-            exp_mode: None,
         }
     }
 }
@@ -94,9 +89,6 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
             }
             if let Some(mode) = ctx.surrogate {
                 opt = opt.with_surrogate_mode(mode);
-            }
-            if let Some(mode) = ctx.exp_mode {
-                opt = opt.with_exp_mode(mode);
             }
             Box::new(opt)
         }),

@@ -7,7 +7,6 @@ use std::collections::{HashMap, HashSet};
 use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::fastexp::KernelExpMode;
 use crate::gp::{DistanceCache, GaussianProcess, SparseGaussianProcess, SurrogateMode};
 use crate::linalg::Matrix;
 use crate::par;
@@ -48,7 +47,6 @@ pub struct SmsEgoOptimizer {
     beta: f64,
     max_gp_points: usize,
     surrogate: SurrogateMode,
-    exp_mode: KernelExpMode,
     seed_points: Vec<Vec<usize>>,
     threads: Option<usize>,
 }
@@ -63,7 +61,6 @@ impl SmsEgoOptimizer {
             beta: 1.0,
             max_gp_points: 256,
             surrogate: SurrogateMode::from_env(),
-            exp_mode: KernelExpMode::from_env(),
             seed_points: Vec::new(),
             threads: None,
         }
@@ -74,14 +71,6 @@ impl SmsEgoOptimizer {
     /// 256 archived points).
     pub fn with_surrogate_mode(mut self, mode: SurrogateMode) -> SmsEgoOptimizer {
         self.surrogate = mode;
-        self
-    }
-
-    /// Overrides the kernel exponential mode (default: read from the
-    /// `AUTOPILOT_GP_FASTEXP` env variable, falling back to the
-    /// bit-exact [`KernelExpMode::Exact`]).
-    pub fn with_exp_mode(mut self, mode: KernelExpMode) -> SmsEgoOptimizer {
-        self.exp_mode = mode;
         self
     }
 
@@ -189,7 +178,7 @@ struct AcquisitionState {
     synced: usize,
     /// Memoized kernel columns against the sparse pack's inducing set,
     /// keyed by ordinal candidate. A column's bits depend only on
-    /// (inducing set, lengthscale, exp mode, candidate) — all frozen
+    /// (inducing set, lengthscale, candidate) — all frozen
     /// between sparse refits — so hits replay recomputation exactly
     /// while skipping the kernel panel (and the candidate encode)
     /// entirely. Cleared whenever [`Surrogates::fit_generation`] moves.
@@ -342,7 +331,6 @@ impl Surrogates {
         archive: &Archive,
         max_gp_points: usize,
         mode: SurrogateMode,
-        exp_mode: KernelExpMode,
     ) -> Option<Surrogates> {
         let n = archive.len();
         let sparse_inducing = match mode {
@@ -365,7 +353,7 @@ impl Surrogates {
             }
         }
         obs::add("dse.gp.full_refit", 1);
-        Surrogates::full_fit(space, archive, start, sparse_inducing, exp_mode, next_generation)
+        Surrogates::full_fit(space, archive, start, sparse_inducing, next_generation)
     }
 
     /// Brings an existing pack current without refitting: retarget on
@@ -436,7 +424,6 @@ impl Surrogates {
         archive: &Archive,
         start: usize,
         sparse_inducing: Option<usize>,
-        exp_mode: KernelExpMode,
         fit_generation: u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
@@ -461,12 +448,11 @@ impl Surrogates {
             let mut gps = Vec::with_capacity(n_obj);
             for obj in 0..n_obj {
                 gps.push(
-                    SparseGaussianProcess::fit_with_lengthscale_mode(
+                    SparseGaussianProcess::fit_with_lengthscale(
                         &xs,
                         &targets(obj),
                         lengthscale_sq,
                         m,
-                        exp_mode,
                     )
                     .ok()?,
                 );
@@ -478,13 +464,8 @@ impl Surrogates {
             let mut gps = Vec::with_capacity(n_obj);
             for obj in 0..n_obj {
                 gps.push(
-                    GaussianProcess::fit_with_lengthscale_mode(
-                        &xs,
-                        &targets(obj),
-                        lengthscale_sq,
-                        exp_mode,
-                    )
-                    .ok()?,
+                    GaussianProcess::fit_with_lengthscale(&xs, &targets(obj), lengthscale_sq)
+                        .ok()?,
                 );
             }
             SurrogatePack::Exact(gps)
@@ -572,7 +553,6 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
                     &archive,
                     self.max_gp_points,
                     self.surrogate,
-                    self.exp_mode,
                 )
             });
             let next = match &surrogates {
@@ -651,7 +631,7 @@ impl SmsEgoOptimizer {
         // through the per-generation panel cache — recurring candidates
         // (front neighbours, intra-pool duplicates) skip both the
         // encode and the kernel panel, and the panel over the remaining
-        // misses runs once pool-wide (column-striped across workers)
+        // misses runs once pool-wide
         // instead of once per chunk. Charged to the same score /
         // gp_predict spans the per-chunk panel used to live in, so the
         // budget-gate ratio sees real savings only.
@@ -758,11 +738,11 @@ impl SmsEgoOptimizer {
 /// `gp.cross_correlations(&encoded_chunk)`.
 ///
 /// A cached column is exact, not approximate: its bits depend only on
-/// the inducing set, lengthscale, and exp mode (all frozen for a fit
+/// the inducing set and lengthscale (both frozen for a fit
 /// generation) and the candidate itself, and kernel-panel entries are
 /// independent of how the panel is partitioned. Only the pool's unseen
 /// candidates are encoded and pushed through the kernel panel — one
-/// pool-wide call, column-striped across workers — so recurring front
+/// pool-wide call — so recurring front
 /// neighbours and intra-pool duplicates cost a column copy instead of
 /// `m` kernel evaluations.
 fn cached_chunk_correlations(

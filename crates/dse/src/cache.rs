@@ -1,23 +1,11 @@
-//! Thread-safe memoization of black-box design-point evaluations.
+//! Hit/miss accounting for the Phase-2 evaluation caches.
 //!
-//! Phase-2 objective evaluations run a cycle-accurate systolic-array
-//! simulation plus SoC power models per point, so re-evaluating a point
-//! the optimizer has already visited wastes milliseconds each time.
-//! [`CachedEvaluator`] wraps any [`Evaluator`] with a point → objectives
-//! map so repeated queries become hash lookups. Design points are
-//! deterministic functions of their coordinates, so cached objectives
-//! can never go stale for a fixed inner evaluator.
+//! The memoizing caches themselves live next to what they memoize (the
+//! core crate's candidate and pipeline caches); this module only
+//! defines the snapshot type they report through.
 
-use autopilot_obs as obs;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use crate::error::EvalError;
-use crate::evaluator::Evaluator;
-
-/// Hit/miss counters for a [`CachedEvaluator`], captured at a point in
-/// time via [`CachedEvaluator::stats`].
+/// Hit/miss counters for an evaluation cache, captured at a point in
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Evaluations answered from the cache.
@@ -40,226 +28,14 @@ impl CacheStats {
     }
 }
 
-/// Memoizing wrapper around an [`Evaluator`].
-///
-/// The first evaluation of each point delegates to the inner evaluator;
-/// subsequent evaluations of the same point return the stored objective
-/// vector (a clone, bit-identical to the original). **Failed evaluations
-/// are never cached** — the error is returned and a later retry of the
-/// same point runs the inner evaluator again. The map is guarded
-/// by a mutex that is **not** held across inner evaluations, so parallel
-/// workers can evaluate distinct points concurrently. Two threads racing
-/// on the same uncached point may both run the inner evaluator, but only
-/// one result is stored and — because evaluators are deterministic
-/// functions of the point — both results are identical.
-#[derive(Debug)]
-pub struct CachedEvaluator<E> {
-    inner: E,
-    map: Mutex<HashMap<Vec<usize>, Vec<f64>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl<E: Evaluator> CachedEvaluator<E> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: E) -> CachedEvaluator<E> {
-        CachedEvaluator {
-            inner,
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Borrows the wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Unwraps into the inner evaluator, discarding the cache.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
-    /// Locks the map, recovering from a poisoned lock: the cache only
-    /// stores completed (point, objectives) entries, which stay
-    /// internally consistent even when another worker panicked, so the
-    /// memo data is safe to keep using.
-    fn map_lock(&self) -> MutexGuard<'_, HashMap<Vec<usize>, Vec<f64>>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Snapshots hit/miss/entry counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map_lock().len(),
-        }
-    }
-
-    /// Number of distinct points stored.
-    pub fn len(&self) -> usize {
-        self.map_lock().len()
-    }
-
-    /// True when no point has been evaluated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the cached objectives for `point` without evaluating.
-    pub fn peek(&self, point: &[usize]) -> Option<Vec<f64>> {
-        self.map_lock().get(point).cloned()
-    }
-}
-
-impl<E: Evaluator> Evaluator for CachedEvaluator<E> {
-    fn num_objectives(&self) -> usize {
-        self.inner.num_objectives()
-    }
-
-    fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-        if let Some(objs) = self.map_lock().get(point) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::add("dse.cached_evaluator.hits", 1);
-            return Ok(objs.clone());
-        }
-        // Run the (possibly expensive) inner evaluation without holding
-        // the lock so other workers proceed on other points. Errors are
-        // returned without caching so a retry re-runs the evaluator.
-        let objs = self.inner.evaluate(point)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::add("dse.cached_evaluator.misses", 1);
-        self.map_lock().entry(point.to_vec()).or_insert_with(|| objs.clone());
-        Ok(objs)
-    }
-
-    fn reference_point(&self) -> Vec<f64> {
-        self.inner.reference_point()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Counting {
-        calls: AtomicUsize,
-    }
-
-    impl Counting {
-        fn new() -> Counting {
-            Counting { calls: AtomicUsize::new(0) }
-        }
-    }
-
-    impl Evaluator for Counting {
-        fn num_objectives(&self) -> usize {
-            2
-        }
-        fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            Ok(vec![point[0] as f64, 10.0 - point[0] as f64])
-        }
-        fn reference_point(&self) -> Vec<f64> {
-            vec![20.0, 20.0]
-        }
-    }
-
-    /// Fails on odd points, succeeds on even ones, counting every call.
-    struct FlakyOdd {
-        calls: AtomicUsize,
-    }
-
-    impl Evaluator for FlakyOdd {
-        fn num_objectives(&self) -> usize {
-            2
-        }
-        fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            if point[0] % 2 == 1 {
-                return Err(EvalError::Failed { message: format!("odd point {point:?}") });
-            }
-            Ok(vec![point[0] as f64, 1.0])
-        }
-    }
-
     #[test]
-    fn second_lookup_is_a_hit() {
-        let cached = CachedEvaluator::new(Counting::new());
-        let a = cached.evaluate(&[3]).unwrap();
-        let b = cached.evaluate(&[3]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 1);
-        let stats = cached.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distinct_points_are_distinct_entries() {
-        let cached = CachedEvaluator::new(Counting::new());
-        for p in [[0usize], [1], [2], [1], [0]] {
-            cached.evaluate(&p).unwrap();
-        }
-        assert_eq!(cached.len(), 3);
-        assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn cached_objectives_match_inner() {
-        let cached = CachedEvaluator::new(Counting::new());
-        let first = cached.evaluate(&[7]).unwrap();
-        assert_eq!(cached.peek(&[7]), Some(first.clone()));
-        assert_eq!(cached.evaluate(&[7]).unwrap(), first);
-        assert_eq!(first, vec![7.0, 3.0]);
-    }
-
-    #[test]
-    fn failed_evaluations_are_not_cached() {
-        let cached = CachedEvaluator::new(FlakyOdd { calls: AtomicUsize::new(0) });
-        assert!(cached.evaluate(&[1]).is_err());
-        assert!(cached.evaluate(&[1]).is_err());
-        // Both failures ran the inner evaluator: nothing was memoized.
-        assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 2);
-        assert_eq!(cached.len(), 0);
-        assert_eq!(cached.peek(&[1]), None);
-        // A successful point still caches normally.
-        assert!(cached.evaluate(&[2]).is_ok());
-        assert!(cached.evaluate(&[2]).is_ok());
-        assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 3);
-        assert_eq!(cached.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_access_is_consistent() {
-        let cached = CachedEvaluator::new(Counting::new());
-        let points: Vec<Vec<usize>> = (0..64).map(|i| vec![i % 8]).collect();
-        let results = crate::par::parallel_map_with(4, &points, |_, p| cached.evaluate(p));
-        for (p, r) in points.iter().zip(&results) {
-            assert_eq!(r.clone().unwrap(), vec![p[0] as f64, 10.0 - p[0] as f64]);
-        }
-        assert_eq!(cached.len(), 8);
-        let stats = cached.stats();
-        assert_eq!(stats.hits + stats.misses, 64);
-    }
-
-    #[test]
-    fn empty_and_hit_rate_defaults() {
-        let cached = CachedEvaluator::new(Counting::new());
-        assert!(cached.is_empty());
-        assert_eq!(cached.stats().hit_rate(), 0.0);
-        assert_eq!(cached.peek(&[1]), None);
-    }
-
-    #[test]
-    fn reference_point_passes_through() {
-        let cached = CachedEvaluator::new(Counting::new());
-        assert_eq!(cached.reference_point(), vec![20.0, 20.0]);
-        assert_eq!(cached.num_objectives(), 2);
-        assert_eq!(cached.into_inner().calls.load(Ordering::Relaxed), 0);
+    fn hit_rate_is_hits_over_lookups() {
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        let stats = CacheStats { hits: 1, misses: 3, entries: 3 };
+        assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
     }
 }

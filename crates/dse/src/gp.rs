@@ -5,9 +5,7 @@
 //! selects between them (`AUTOPILOT_GP_SPARSE`).
 
 use crate::error::GpError;
-use crate::fastexp::{exp_slice, KernelExpMode};
 use crate::linalg::{dot, sq_dist, Matrix};
-use crate::par;
 use autopilot_obs as obs;
 use std::cell::RefCell;
 
@@ -112,28 +110,15 @@ fn kernel_scale(lengthscale_sq: f64) -> f64 {
     -0.5 / lengthscale_sq
 }
 
-/// Tile width: a d×TILE transposed query block plus an n-row output
-/// stripe of TILE f64s stays L1/L2-resident for the small d used here.
+/// Tile width: a d×TILE transposed query block plus a TILE-wide output
+/// row segment stays L1/L2-resident for the small d used here.
 const PANEL_TILE: usize = 128;
-/// Minimum panel entries worth handing to each parallel stripe worker;
-/// below this, spawning a scoped thread costs more than it saves.
-const PANEL_PAR_ENTRIES_PER_WORKER: usize = 8192;
-/// Narrowest column stripe worth dispatching to its own worker.
-const PANEL_MIN_STRIPE: usize = 16;
-
-/// Reusable per-thread panel buffers: the dimension-major transposed
-/// query tile and the output stripe being assembled. On the inline path
-/// these persist across calls, so steady-state chunk scoring allocates
-/// nothing for panel scratch; parallel-stripe workers are per-call
-/// scoped threads, so theirs are taken by value into the reassembly.
-struct PanelScratch {
-    transpose: Vec<f64>,
-    stripe: Vec<f64>,
-}
 
 std::thread_local! {
-    static PANEL_SCRATCH: RefCell<PanelScratch> =
-        const { RefCell::new(PanelScratch { transpose: Vec::new(), stripe: Vec::new() }) };
+    /// Reusable dimension-major transposed query tile for
+    /// [`correlation_panel`]; steady-state chunk scoring allocates
+    /// nothing for panel scratch.
+    static PANEL_TRANSPOSE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Reusable kernel/solve vectors for the scalar predict and extend
     /// paths (`cstar` and `L⁻¹·cstar`); steady-state scalar queries
     /// allocate nothing per call.
@@ -152,64 +137,25 @@ fn with_kernel_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> 
 }
 
 /// Kernel correlation vector of one query `point` against `xs`, written
-/// into a reusable buffer: squared distances accumulate in the same
-/// ascending-dimension order as [`sq_dist`], then the exponential mode's
-/// fused pass — element `i` is bit-identical to the legacy scalar
-/// `(sq_dist(&xs[i], point) * scale).exp()` in `Exact` mode.
-fn kernel_vector_into(
-    xs: &[Vec<f64>],
-    point: &[f64],
-    scale: f64,
-    mode: KernelExpMode,
-    out: &mut Vec<f64>,
-) {
+/// into a reusable buffer: element `i` is
+/// `(sq_dist(&xs[i], point) * scale).exp()`.
+fn kernel_vector_into(xs: &[Vec<f64>], point: &[f64], scale: f64, out: &mut Vec<f64>) {
     out.clear();
-    out.extend(xs.iter().map(|xi| sq_dist(xi, point) * scale));
-    exp_slice(out, mode);
+    out.extend(xs.iter().map(|xi| (sq_dist(xi, point) * scale).exp()));
 }
 
 /// Cache-blocked, fused distance+exp kernel panel: entry `(i, j)` is
-/// `exp(‖rows[i] − cols[j]‖² · scale)` — in [`KernelExpMode::Exact`]
-/// bit-identical to the scalar
+/// `exp(‖rows[i] − cols[j]‖² · scale)`, bit-identical to the scalar
 /// `(sq_dist(&rows[i], &cols[j]) * scale).exp()`.
 ///
-/// Large panels fan their column stripes out across
-/// [`par::worker_count`] workers; see [`correlation_panel_with`] for the
-/// determinism contract.
-pub fn correlation_panel(
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    scale: f64,
-    mode: KernelExpMode,
-) -> Matrix {
-    correlation_panel_with(par::worker_count(), rows, cols, scale, mode)
-}
-
-/// [`correlation_panel`] with an explicit worker budget.
-///
-/// The panel is split into contiguous disjoint column stripes, each
-/// assembled into a private buffer by one worker and scattered back in
-/// stripe order. Every entry's arithmetic — ascending-dimension
-/// accumulation in the same order as [`sq_dist`], one multiply by
-/// `scale`, one exponential — depends only on its `(row, col)` pair;
-/// tile and stripe boundaries never enter it. The output is therefore
-/// **bit-identical at any worker count**, including the inline path
-/// taken for small panels, for `workers <= 1`, and from inside a
-/// [`par`] worker (where nested fan-out would oversubscribe the
-/// machine).
-///
-/// Layout per stripe: the query points are transposed tile-by-tile into
-/// dimension-major scratch rows, so the inner loop over a tile of
-/// queries reads both operands contiguously and autovectorizes, and the
-/// exponential pass runs over each finished row segment while it is
-/// still cache-resident.
-pub fn correlation_panel_with(
-    workers: usize,
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    scale: f64,
-    mode: KernelExpMode,
-) -> Matrix {
+/// The query points are transposed tile-by-tile into dimension-major
+/// scratch rows, so the inner loop over a tile of queries reads both
+/// operands contiguously and autovectorizes. Each entry accumulates its
+/// squared distance in ascending-dimension order (as [`sq_dist`] does)
+/// straight into the output row, and the exponential pass runs over
+/// each finished row segment while it is still cache-resident. Tile
+/// boundaries never enter an entry's arithmetic.
+pub fn correlation_panel(rows: &[Vec<f64>], cols: &[Vec<f64>], scale: f64) -> Matrix {
     let n = rows.len();
     let m = cols.len();
     let mut out = Matrix::zeros(n, m);
@@ -218,110 +164,35 @@ pub fn correlation_panel_with(
     }
     obs::add("bo.gp.panel.calls", 1);
     obs::add("bo.gp.panel.entries", (n * m) as u64);
-    let stripes = panel_stripe_count(workers, n, m);
-    if stripes <= 1 {
-        obs::add("bo.gp.panel.inline", 1);
-        PANEL_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            panel_stripe(rows, cols, 0, m, scale, mode, s);
-            scatter_stripe(&mut out, &s.stripe, 0, m);
-        });
-        return out;
-    }
-    obs::add("bo.gp.panel.parallel", 1);
-    obs::add("bo.gp.panel.stripes", stripes as u64);
-    obs::time("bo.gp.panel.assemble", || {
-        // Balanced contiguous stripes covering 0..m, widest first so the
-        // remainder lands on the leading stripes.
-        let base = m / stripes;
-        let extra = m % stripes;
-        let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(stripes);
-        let mut c0 = 0;
-        for sidx in 0..stripes {
-            let c1 = c0 + base + usize::from(sidx < extra);
-            bounds.push((c0, c1));
-            c0 = c1;
-        }
-        let filled = par::parallel_map_with(stripes, &bounds, |_, &(c0, c1)| {
-            PANEL_SCRATCH.with(|cell| {
-                let s = &mut *cell.borrow_mut();
-                panel_stripe(rows, cols, c0, c1, scale, mode, s);
-                std::mem::take(&mut s.stripe)
-            })
-        });
-        for (&(c0, c1), stripe) in bounds.iter().zip(&filled) {
-            scatter_stripe(&mut out, stripe, c0, c1);
+    let d = rows[0].len();
+    PANEL_TRANSPOSE.with(|cell| {
+        let transpose = &mut *cell.borrow_mut();
+        for t0 in (0..m).step_by(PANEL_TILE) {
+            let t1 = (t0 + PANEL_TILE).min(m);
+            let w = t1 - t0;
+            transpose.clear();
+            transpose.resize(d * w, 0.0);
+            for (k, trow) in transpose.chunks_exact_mut(w).enumerate() {
+                for (slot, col) in trow.iter_mut().zip(&cols[t0..t1]) {
+                    *slot = col[k];
+                }
+            }
+            for (i, xi) in rows.iter().enumerate() {
+                let orow = &mut out.row_mut(i)[t0..t1];
+                for (k, &xik) in xi.iter().enumerate() {
+                    let qs = &transpose[k * w..k * w + w];
+                    for (acc, &q) in orow.iter_mut().zip(qs) {
+                        let t = xik - q;
+                        *acc += t * t;
+                    }
+                }
+                for v in orow.iter_mut() {
+                    *v = (*v * scale).exp();
+                }
+            }
         }
     });
     out
-}
-
-/// How many column stripes a panel of `n×m` entries should fan out to:
-/// capped by the worker budget, by keeping at least
-/// [`PANEL_PAR_ENTRIES_PER_WORKER`] entries per worker, and by the
-/// narrowest useful stripe width. One stripe means the inline path —
-/// always the case from inside a [`par`] worker.
-fn panel_stripe_count(workers: usize, n: usize, m: usize) -> usize {
-    if workers <= 1 || par::in_worker() {
-        return 1;
-    }
-    let by_work = (n * m) / PANEL_PAR_ENTRIES_PER_WORKER;
-    let by_width = m / PANEL_MIN_STRIPE;
-    workers.min(by_work).min(by_width).max(1)
-}
-
-/// Assembles panel columns `[c0, c1)` for every row into
-/// `scratch.stripe` (row-major `n × (c1-c0)`), tile by tile.
-fn panel_stripe(
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    c0: usize,
-    c1: usize,
-    scale: f64,
-    mode: KernelExpMode,
-    scratch: &mut PanelScratch,
-) {
-    let d = rows[0].len();
-    let width = c1 - c0;
-    scratch.stripe.clear();
-    scratch.stripe.resize(rows.len() * width, 0.0);
-    let mut t0 = c0;
-    while t0 < c1 {
-        let t1 = (t0 + PANEL_TILE).min(c1);
-        let w = t1 - t0;
-        scratch.transpose.clear();
-        scratch.transpose.resize(d * w, 0.0);
-        for (k, trow) in scratch.transpose.chunks_exact_mut(w).enumerate() {
-            for (slot, col) in trow.iter_mut().zip(&cols[t0..t1]) {
-                *slot = col[k];
-            }
-        }
-        for (i, xi) in rows.iter().enumerate() {
-            let off = i * width + (t0 - c0);
-            let orow = &mut scratch.stripe[off..off + w];
-            for (k, &xik) in xi.iter().enumerate() {
-                let qs = &scratch.transpose[k * w..k * w + w];
-                for (acc, &q) in orow.iter_mut().zip(qs) {
-                    let t = xik - q;
-                    *acc += t * t;
-                }
-            }
-            for v in orow.iter_mut() {
-                *v *= scale;
-            }
-            exp_slice(orow, mode);
-        }
-        t0 = t1;
-    }
-}
-
-/// Copies a finished `n × (c1-c0)` stripe buffer into columns
-/// `[c0, c1)` of the output matrix.
-fn scatter_stripe(out: &mut Matrix, stripe: &[f64], c0: usize, c1: usize) {
-    let width = c1 - c0;
-    for i in 0..out.rows() {
-        out.row_mut(i)[c0..c1].copy_from_slice(&stripe[i * width..(i + 1) * width]);
-    }
 }
 
 /// Shared input validation for the exact and sparse fits.
@@ -384,10 +255,6 @@ pub struct GaussianProcess {
     lengthscale_sq: f64,
     /// Relative diagonal jitter, frozen at factorization time.
     jitter: f64,
-    /// Kernel exponential mode, frozen at fit time so every correlation
-    /// this GP ever computes — fit panel, extend vector, predict vector,
-    /// batched cross-correlations — uses one consistent exponential.
-    exp_mode: KernelExpMode,
 }
 
 impl GaussianProcess {
@@ -436,22 +303,6 @@ impl GaussianProcess {
         y: &[f64],
         lengthscale_sq: f64,
     ) -> Result<GaussianProcess, GpError> {
-        GaussianProcess::fit_with_lengthscale_mode(x, y, lengthscale_sq, KernelExpMode::Exact)
-    }
-
-    /// [`GaussianProcess::fit_with_lengthscale`] with an explicit kernel
-    /// exponential mode; the mode is frozen into the GP so every later
-    /// query uses the same exponential as the fit-time factorization.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`GaussianProcess::fit`].
-    pub fn fit_with_lengthscale_mode(
-        x: &[Vec<f64>],
-        y: &[f64],
-        lengthscale_sq: f64,
-        exp_mode: KernelExpMode,
-    ) -> Result<GaussianProcess, GpError> {
         validate_training(x, y)?;
         let n = x.len();
         let lengthscale_sq = lengthscale_sq.max(1e-6);
@@ -464,7 +315,7 @@ impl GaussianProcess {
         // Relative jitter equivalent to the classic absolute noise term
         // `signal_var * 1e-4 + 1e-10` after dividing K by signal_var.
         let jitter = 1e-4 + 1e-10 / signal_var;
-        let mut c = correlation_panel(x, x, kernel_scale(lengthscale_sq), exp_mode);
+        let mut c = correlation_panel(x, x, kernel_scale(lengthscale_sq));
         for i in 0..n {
             c[(i, i)] += jitter;
         }
@@ -478,7 +329,6 @@ impl GaussianProcess {
             signal_var,
             lengthscale_sq,
             jitter,
-            exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
@@ -499,7 +349,7 @@ impl GaussianProcess {
         assert_eq!(x_new.len(), self.x[0].len(), "dimension mismatch");
         let scale = kernel_scale(self.lengthscale_sq);
         let ok = with_kernel_scratch(|c, w| {
-            kernel_vector_into(&self.x, x_new, scale, self.exp_mode, c);
+            kernel_vector_into(&self.x, x_new, scale, c);
             self.chol.solve_lower_into(c, w);
             let d2 = 1.0 + self.jitter - w.iter().map(|v| v * v).sum::<f64>();
             // Guard well above zero: a tiny pivot makes the factor
@@ -608,11 +458,6 @@ impl GaussianProcess {
         self.lengthscale_sq
     }
 
-    /// The kernel exponential mode frozen at fit time.
-    pub fn exp_mode(&self) -> KernelExpMode {
-        self.exp_mode
-    }
-
     /// Posterior mean and variance at `point`.
     ///
     /// # Panics
@@ -622,7 +467,7 @@ impl GaussianProcess {
         assert_eq!(point.len(), self.x[0].len(), "dimension mismatch");
         let scale = kernel_scale(self.lengthscale_sq);
         with_kernel_scratch(|cstar, v| {
-            kernel_vector_into(&self.x, point, scale, self.exp_mode, cstar);
+            kernel_vector_into(&self.x, point, scale, cstar);
             let mean = self.mean_y + dot(cstar, &self.alpha);
             self.chol.solve_lower_into(cstar, v);
             let var = (self.signal_var * (1.0 - v.iter().map(|x| x * x).sum::<f64>())).max(0.0);
@@ -656,7 +501,7 @@ impl GaussianProcess {
         for p in points {
             assert_eq!(p.len(), dim, "dimension mismatch");
         }
-        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
+        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq))
     }
 
     /// Batched posterior `(mean, variance)` from a precomputed
@@ -751,8 +596,7 @@ const INDUCING_RIDGE: f64 = 1e-8;
 /// per-objective surrogate pack cannot share one variance computation
 /// across objectives. What the pack *does* share is the candidate
 /// correlation panel against `Z`: the panel depends only on the
-/// inducing set, the lengthscale, and the exponential mode — all frozen
-/// between full refits — so the acquisition loop builds it once per
+/// inducing set and the lengthscale — both frozen between full refits — so the acquisition loop builds it once per
 /// candidate pool and feeds every objective's
 /// [`SparseGaussianProcess::predict_batch_from_correlations`] from it.
 #[derive(Debug, Clone)]
@@ -780,9 +624,6 @@ pub struct SparseGaussianProcess {
     lengthscale_sq: f64,
     /// Relative observation noise λ, frozen at factorization time.
     noise: f64,
-    /// Kernel exponential mode, frozen at fit time (see
-    /// [`GaussianProcess`]'s field of the same name).
-    exp_mode: KernelExpMode,
 }
 
 impl SparseGaussianProcess {
@@ -829,28 +670,6 @@ impl SparseGaussianProcess {
         lengthscale_sq: f64,
         inducing: usize,
     ) -> Result<SparseGaussianProcess, GpError> {
-        SparseGaussianProcess::fit_with_lengthscale_mode(
-            x,
-            y,
-            lengthscale_sq,
-            inducing,
-            KernelExpMode::Exact,
-        )
-    }
-
-    /// [`SparseGaussianProcess::fit_with_lengthscale`] with an explicit
-    /// kernel exponential mode, frozen into the GP for every later query.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`GaussianProcess::fit`].
-    pub fn fit_with_lengthscale_mode(
-        x: &[Vec<f64>],
-        y: &[f64],
-        lengthscale_sq: f64,
-        inducing: usize,
-        exp_mode: KernelExpMode,
-    ) -> Result<SparseGaussianProcess, GpError> {
         validate_training(x, y)?;
         let n = x.len();
         let lengthscale_sq = lengthscale_sq.max(1e-6);
@@ -863,8 +682,8 @@ impl SparseGaussianProcess {
 
         let inducing = select_inducing(x, inducing.clamp(2, n));
         let m = inducing.len();
-        let cnm = correlation_panel(x, &inducing, scale, exp_mode);
-        let mut cmm = correlation_panel(&inducing, &inducing, scale, exp_mode);
+        let cnm = correlation_panel(x, &inducing, scale);
+        let mut cmm = correlation_panel(&inducing, &inducing, scale);
         for i in 0..m {
             cmm[(i, i)] += INDUCING_RIDGE;
         }
@@ -886,7 +705,6 @@ impl SparseGaussianProcess {
             signal_var,
             lengthscale_sq,
             noise,
-            exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
@@ -928,11 +746,6 @@ impl SparseGaussianProcess {
         self.lengthscale_sq
     }
 
-    /// The kernel exponential mode frozen at fit time.
-    pub fn exp_mode(&self) -> KernelExpMode {
-        self.exp_mode
-    }
-
     /// Posterior mean and variance at `point`.
     ///
     /// # Panics
@@ -942,7 +755,7 @@ impl SparseGaussianProcess {
         assert_eq!(point.len(), self.inducing[0].len(), "dimension mismatch");
         let scale = kernel_scale(self.lengthscale_sq);
         with_kernel_scratch(|k, q| {
-            kernel_vector_into(&self.inducing, point, scale, self.exp_mode, k);
+            kernel_vector_into(&self.inducing, point, scale, k);
             let mean = self.mean_y + dot(k, &self.w);
             let var = match &self.var_form_l {
                 Some(ld) => {
@@ -996,7 +809,7 @@ impl SparseGaussianProcess {
         for p in points {
             assert_eq!(p.len(), dim, "dimension mismatch");
         }
-        correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
+        correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq))
     }
 
     /// Batched posterior means from a precomputed inducing-correlation
@@ -1107,7 +920,7 @@ impl SparseGaussianProcess {
         let scale = kernel_scale(self.lengthscale_sq);
         let inv_sqrt_noise = 1.0 / self.noise.sqrt();
         let ok = with_kernel_scratch(|c, v| {
-            kernel_vector_into(&self.inducing, x_new, scale, self.exp_mode, c);
+            kernel_vector_into(&self.inducing, x_new, scale, c);
             v.clear();
             v.extend(c.iter().map(|ci| ci * inv_sqrt_noise));
             if !self.l_a.rank1_update_lower(v) {

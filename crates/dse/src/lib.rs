@@ -60,7 +60,6 @@ mod control;
 mod error;
 mod evaluator;
 mod exhaustive;
-mod fastexp;
 mod ga;
 mod gp;
 pub mod linalg;
@@ -72,16 +71,15 @@ mod space;
 
 pub use anneal::AnnealingOptimizer;
 pub use bayesopt::SmsEgoOptimizer;
-pub use cache::{CacheStats, CachedEvaluator};
+pub use cache::CacheStats;
 pub use control::RunControl;
 pub use error::{DseError, EvalError, GpError};
 pub use evaluator::{Evaluator, MultiObjectiveOptimizer};
 pub use exhaustive::ExhaustiveSearch;
-pub use fastexp::{exp_slice, fast_exp, ulp_distance, KernelExpMode, GP_FASTEXP_ENV};
 pub use ga::Nsga2Optimizer;
 pub use gp::{
-    correlation_panel, correlation_panel_with, DistanceCache, GaussianProcess,
-    SparseGaussianProcess, SurrogateMode, GP_SPARSE_ENV,
+    correlation_panel, DistanceCache, GaussianProcess, SparseGaussianProcess, SurrogateMode,
+    GP_SPARSE_ENV,
 };
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};

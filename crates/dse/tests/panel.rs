@@ -1,13 +1,12 @@
-//! Contract tests for the kernel-panel engine: degenerate shapes,
-//! agreement with the scalar kernel formula, and bitwise equality of
-//! the striped parallel path at every worker count.
+//! Contract tests for the kernel-panel engine: degenerate shapes and
+//! bitwise agreement with the scalar kernel formula across tiles.
 
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use autopilot_rng::Rng;
+use dse_opt::correlation_panel;
 use dse_opt::linalg::sq_dist;
-use dse_opt::{correlation_panel, correlation_panel_with, KernelExpMode};
 
 /// Seeded random point set, `n` points of dimension `d` in `[0, 1)^d`.
 fn points(rng: &mut Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -18,35 +17,29 @@ fn points(rng: &mut Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
 fn empty_rows_give_zero_by_m_panel() {
     let mut rng = Rng::seed_from_u64(41);
     let cols = points(&mut rng, 5, 3);
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let p = correlation_panel(&[], &cols, -0.5, mode);
-        assert_eq!((p.rows(), p.cols()), (0, 5));
-    }
+    let p = correlation_panel(&[], &cols, -0.5);
+    assert_eq!((p.rows(), p.cols()), (0, 5));
 }
 
 #[test]
 fn empty_cols_give_n_by_zero_panel() {
     let mut rng = Rng::seed_from_u64(42);
     let rows = points(&mut rng, 4, 3);
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let p = correlation_panel(&rows, &[], -0.5, mode);
-        assert_eq!((p.rows(), p.cols()), (4, 0));
-    }
+    let p = correlation_panel(&rows, &[], -0.5);
+    assert_eq!((p.rows(), p.cols()), (4, 0));
 }
 
 #[test]
 fn zero_dimensional_points_give_unit_correlations() {
     // With d = 0 every squared distance is the empty sum, so every
-    // entry is exp(0 · scale) = 1 exactly, in both modes.
+    // entry is exp(0 · scale) = 1 exactly.
     let rows: Vec<Vec<f64>> = vec![vec![]; 3];
     let cols: Vec<Vec<f64>> = vec![vec![]; 7];
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let p = correlation_panel(&rows, &cols, -2.5, mode);
-        assert_eq!((p.rows(), p.cols()), (3, 7));
-        for i in 0..3 {
-            for j in 0..7 {
-                assert_eq!(p[(i, j)].to_bits(), 1.0f64.to_bits());
-            }
+    let p = correlation_panel(&rows, &cols, -2.5);
+    assert_eq!((p.rows(), p.cols()), (3, 7));
+    for i in 0..3 {
+        for j in 0..7 {
+            assert_eq!(p[(i, j)].to_bits(), 1.0f64.to_bits());
         }
     }
 }
@@ -57,78 +50,28 @@ fn single_point_panel_matches_scalar_kernel() {
     let rows = points(&mut rng, 1, 7);
     let cols = points(&mut rng, 1, 7);
     let scale = -0.5 / 1.3;
-    let p = correlation_panel(&rows, &cols, scale, KernelExpMode::Exact);
+    let p = correlation_panel(&rows, &cols, scale);
     assert_eq!((p.rows(), p.cols()), (1, 1));
     let want = (sq_dist(&rows[0], &cols[0]) * scale).exp();
     assert_eq!(p[(0, 0)].to_bits(), want.to_bits());
     // A point against itself sits exactly on the kernel diagonal.
-    let diag = correlation_panel(&rows, &rows, scale, KernelExpMode::Exact);
+    let diag = correlation_panel(&rows, &rows, scale);
     assert_eq!(diag[(0, 0)].to_bits(), 1.0f64.to_bits());
 }
 
 #[test]
 fn exact_panel_matches_scalar_formula_entrywise() {
     let mut rng = Rng::seed_from_u64(44);
-    // Wide enough that several PANEL_TILE tiles are exercised.
+    // Wide enough that several PANEL_TILE tiles are exercised, with a
+    // ragged last tile.
     let rows = points(&mut rng, 9, 7);
     let cols = points(&mut rng, 301, 7);
     let scale = -0.5 / 0.7;
-    let p = correlation_panel_with(1, &rows, &cols, scale, KernelExpMode::Exact);
+    let p = correlation_panel(&rows, &cols, scale);
     for (i, xi) in rows.iter().enumerate() {
         for (j, cj) in cols.iter().enumerate() {
             let want = (sq_dist(xi, cj) * scale).exp();
             assert_eq!(p[(i, j)].to_bits(), want.to_bits(), "entry ({i}, {j})");
-        }
-    }
-}
-
-#[test]
-fn panel_bitwise_identical_at_every_worker_count() {
-    // Large enough that the striped parallel path actually engages
-    // (n·m = 65 536 entries clears the per-worker floor at 8 workers,
-    // and m = 1024 columns clears the minimum stripe width), on seeded
-    // random matrices. The panel contract: stripe boundaries never
-    // enter any entry's arithmetic, so every worker count — including
-    // the inline single-stripe path — produces the same bits.
-    let mut rng = Rng::seed_from_u64(45);
-    let rows = points(&mut rng, 64, 7);
-    let cols = points(&mut rng, 1024, 7);
-    let scale = -0.5 / 2.1;
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let single = correlation_panel_with(1, &rows, &cols, scale, mode);
-        for workers in [2usize, 8] {
-            let striped = correlation_panel_with(workers, &rows, &cols, scale, mode);
-            assert_eq!((striped.rows(), striped.cols()), (single.rows(), single.cols()));
-            for i in 0..single.rows() {
-                for j in 0..single.cols() {
-                    assert_eq!(
-                        striped[(i, j)].to_bits(),
-                        single[(i, j)].to_bits(),
-                        "mode {:?}: entry ({i}, {j}) diverged at {workers} workers",
-                        mode
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn ragged_stripe_widths_stay_bit_identical() {
-    // A column count that does not divide evenly across stripes, so the
-    // leading stripes carry the remainder — the scatter offsets must
-    // still reassemble the exact single-stripe panel.
-    let mut rng = Rng::seed_from_u64(46);
-    let rows = points(&mut rng, 96, 5);
-    let cols = points(&mut rng, 1021, 5);
-    let scale = -0.5 / 0.9;
-    let single = correlation_panel_with(1, &rows, &cols, scale, KernelExpMode::Exact);
-    for workers in [3usize, 5, 8] {
-        let striped = correlation_panel_with(workers, &rows, &cols, scale, KernelExpMode::Exact);
-        for i in 0..single.rows() {
-            for j in 0..single.cols() {
-                assert_eq!(striped[(i, j)].to_bits(), single[(i, j)].to_bits());
-            }
         }
     }
 }

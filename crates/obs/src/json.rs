@@ -125,7 +125,7 @@ impl Value {
     /// Returns a [`ParseError`] describing the first offending byte
     /// offset on malformed input.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -214,7 +214,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Recursive-descent parser over one input. `pos` only ever advances by
+/// whole ASCII bytes or whole `char`s, so it always sits on a `char`
+/// boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -274,9 +278,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+        match self.text.get(start..self.pos).and_then(|t| t.parse::<f64>().ok()) {
+            Some(n) if n.is_finite() => Ok(Value::Num(n)),
             _ => Err(self.err("malformed number")),
         }
     }
@@ -285,8 +288,7 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&c) = rest.first() else {
+            let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             match c {
@@ -325,9 +327,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty");
+                    // Decode one scalar in O(1); `pos` is on a char
+                    // boundary (see `Parser`).
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|t| t.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -418,6 +424,22 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = Value::Str("a\"b\\c\nd\te\u{1}λ".into());
         assert_eq!(Value::parse(&v.to_json()).unwrap(), v);
+    }
+
+    #[test]
+    fn max_body_sized_string_parses_in_linear_time() {
+        // One string the size of the server's 1 MiB body cap, mixing
+        // 1-, 2-, 3- and 4-byte UTF-8 scalars. Re-validating the
+        // remaining input per character is quadratic (minutes at this
+        // size); a linear parser takes milliseconds, so 2 s is generous.
+        let unit = "ab λ€😀";
+        let text: String = unit.repeat((1 << 20) / unit.len());
+        let doc = Value::Str(text.clone()).to_json();
+        let start = std::time::Instant::now();
+        let parsed = Value::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(2), "parse took {elapsed:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::json::Value;
 
@@ -78,7 +78,7 @@ pub struct Histogram(Arc<HistogramInner>);
 impl Histogram {
     fn new(bounds: &[f64]) -> Histogram {
         let mut sorted: Vec<f64> = bounds.iter().copied().filter(|b| b.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+        sorted.sort_by(f64::total_cmp);
         sorted.dedup();
         let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram(Arc::new(HistogramInner {
@@ -169,13 +169,13 @@ impl Registry {
 
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("registry lock poisoned");
+        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         Counter(Arc::clone(map.entry(name.to_owned()).or_default()))
     }
 
     /// The gauge registered under `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("registry lock poisoned");
+        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
         Gauge(Arc::clone(
             map.entry(name.to_owned()).or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
         ))
@@ -184,14 +184,14 @@ impl Registry {
     /// The histogram registered under `name`, created with `bounds` on
     /// first use (an existing histogram keeps its original bounds).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut map = self.histograms.lock().expect("registry lock poisoned");
+        let mut map = self.histograms.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry(name.to_owned()).or_insert_with(|| Histogram::new(bounds)).clone()
     }
 
     /// Folds `elapsed_ns` into the span statistics for `path`.
     pub fn span_record(&self, path: &str, elapsed_ns: u64) {
         let stat = {
-            let mut map = self.spans.lock().expect("registry lock poisoned");
+            let mut map = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(path.to_owned()).or_insert_with(|| Arc::new(SpanStat::new())))
         };
         stat.count.fetch_add(1, Ordering::Relaxed);
@@ -205,21 +205,21 @@ impl Registry {
         let counters = self
             .counters
             .lock()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
         let gauges = self
             .gauges
             .lock()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
             .collect();
         let histograms = self
             .histograms
             .lock()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, h)| {
                 let inner = &h.0;
@@ -246,7 +246,7 @@ impl Registry {
         let spans = self
             .spans
             .lock()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, s)| {
                 let count = s.count.load(Ordering::Relaxed);
@@ -269,10 +269,10 @@ impl Registry {
     /// Removes every registered metric. Handles created earlier keep
     /// working but are no longer reachable through the registry.
     pub fn reset(&self) {
-        self.counters.lock().expect("registry lock poisoned").clear();
-        self.gauges.lock().expect("registry lock poisoned").clear();
-        self.histograms.lock().expect("registry lock poisoned").clear();
-        self.spans.lock().expect("registry lock poisoned").clear();
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.gauges.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.histograms.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
@@ -696,5 +696,34 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 4000);
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_take_down_the_registry() {
+        // A thread that panics while holding each registry lock poisons
+        // it; the maps stay consistent (every insert is a single entry
+        // call), so later callers recover the guard instead of panicking.
+        let r = Registry::new();
+        r.counter("before").add(2);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _c = r.counters.lock();
+                let _g = r.gauges.lock();
+                let _h = r.histograms.lock();
+                let _s = r.spans.lock();
+                panic!("poison every registry lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(r.counters.is_poisoned() && r.spans.is_poisoned());
+        r.counter("after").incr();
+        r.gauge("g").set(1.5);
+        r.histogram("h", &[1.0]).observe(0.5);
+        r.span_record("s", 10);
+        let snap = r.snapshot();
+        assert_eq!((snap.counter("before"), snap.counter("after")), (2, 1));
+        assert_eq!(snap.histogram("h").map(|h| h.count), Some(1));
+        r.reset();
+        assert_eq!(r.snapshot().counter("before"), 0);
     }
 }

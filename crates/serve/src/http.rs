@@ -201,20 +201,24 @@ impl Response {
     /// Serializes and writes the response (with `Content-Length` and the
     /// negotiated `Connection` header) to `stream`.
     ///
+    /// Head and body go out in one `write_all`, so a keep-alive client
+    /// never waits on a delayed-ACK round trip between two small
+    /// segments.
+    ///
     /// # Errors
     ///
     /// Propagates transport failures (including write timeouts).
     pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let head = format!(
+        let mut wire = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len(),
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
+        wire.push_str(&self.body);
+        stream.write_all(wire.as_bytes())?;
         stream.flush()
     }
 }
@@ -280,5 +284,33 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_written_in_one_call() {
+        let mut out = CountingWriter::default();
+        Response::json(202, r#"{"id":1,"state":"queued"}"#).write_to(&mut out, true).unwrap();
+        assert_eq!(out.writes, 1, "head and body must go out as one write");
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 202 Accepted\r\n"));
+        assert!(text.ends_with("\r\n\r\n{\"id\":1,\"state\":\"queued\"}"));
     }
 }

@@ -36,7 +36,7 @@ use autopilot::{
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use autopilot_shard::{ShardStats, ShardedMap};
-use dse_opt::{KernelExpMode, RunControl};
+use dse_opt::RunControl;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -50,6 +50,31 @@ pub const MAX_BUDGET: usize = 10_000;
 /// Approximate capacity of the process-lifetime candidate cache per
 /// scenario key (entries; clock eviction beyond this).
 const CANDIDATE_CACHE_CAPACITY: usize = 65_536;
+
+/// Every field a `POST /jobs` body may carry; any other key is rejected
+/// so a misspelled or retired knob fails loudly instead of being ignored.
+const JOB_FIELDS: [&str; 9] = [
+    "uav_class",
+    "scenario",
+    "budget",
+    "optimizer",
+    "seed",
+    "threads",
+    "gp_window",
+    "layer_memo",
+    "swap",
+];
+
+/// Reads an optional non-negative integer field: absent or `null` is
+/// `None`, anything but a non-negative integer is an error naming it.
+fn optional_u64(root: &Value, field: &str) -> Result<Option<u64>, String> {
+    match root.get(field) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => {
+            v.as_u64().map(Some).ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+        }
+    }
+}
 
 /// A validated job request.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +104,10 @@ impl JobSpec {
     /// accepted values.
     pub fn parse(body: &str, defaults: JobConfig) -> Result<JobSpec, String> {
         let root = Value::parse(body).map_err(|e| format!("invalid JSON body: {e}"))?;
+        let fields = root.as_obj().ok_or("job body must be a JSON object")?;
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !JOB_FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown field `{key}`; accepted: {}", JOB_FIELDS.join(", ")));
+        }
         let uav = root
             .get("uav_class")
             .and_then(Value::as_str)
@@ -112,17 +141,17 @@ impl JobSpec {
                 registered.join(", ")
             ));
         }
-        let seed = root.get("seed").and_then(Value::as_u64).unwrap_or(7);
+        let seed = optional_u64(&root, "seed")?.unwrap_or(7);
 
         // Optional per-job engine knobs on top of the startup defaults.
         let mut config = defaults;
-        if let Some(t) = root.get("threads").and_then(Value::as_u64) {
+        if let Some(t) = optional_u64(&root, "threads")? {
             if t == 0 {
                 return Err("`threads` must be >= 1".into());
             }
             config = config.with_threads(t as usize);
         }
-        if let Some(w) = root.get("gp_window").and_then(Value::as_u64) {
+        if let Some(w) = optional_u64(&root, "gp_window")? {
             config = config.with_gp_window(w as usize);
         }
         match root.get("layer_memo") {
@@ -141,18 +170,6 @@ impl JobSpec {
                 }
             },
             Some(_) => return Err("`swap` must be a string".into()),
-        }
-        match root.get("fastexp") {
-            None | Some(Value::Null) => {}
-            Some(Value::Str(s)) => match KernelExpMode::parse(s) {
-                Some(mode) => config = config.with_exp_mode(mode),
-                None => {
-                    return Err(format!(
-                        "unknown `fastexp` {s:?}; expected exact (0/off/false) or fast (1/on/true)"
-                    ));
-                }
-            },
-            Some(_) => return Err("`fastexp` must be a string".into()),
         }
         Ok(JobSpec { uav, scenario, budget, optimizer, seed, config })
     }
@@ -648,6 +665,13 @@ mod tests {
         assert_eq!(spec.uav, "nano");
         assert_eq!(spec.scenario, ObstacleDensity::Low);
         assert_eq!((spec.budget, spec.seed), (12, 3));
+        // Every accepted knob parses together.
+        let all = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
+                      "optimizer": "random-search", "seed": 3, "threads": 2, "gp_window": 64,
+                      "layer_memo": false, "swap": "off"}"#;
+        let spec = JobSpec::parse(all, defaults()).unwrap();
+        assert_eq!((spec.config.threads, spec.config.gp_window), (Some(2), Some(64)));
+        assert!(!spec.config.layer_memo);
 
         for (body, needle) in [
             ("{", "invalid JSON"),
@@ -680,33 +704,43 @@ mod tests {
                 r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "swap": 3}"#,
                 "swap",
             ),
+            ("[1, 2]", "JSON object"),
             (
-                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "fastexp": "approximate"}"#,
-                "fastexp",
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "fastexp": "fast"}"#,
+                "unknown field `fastexp`",
             ),
             (
-                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "fastexp": 1}"#,
-                "fastexp",
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "thread": 2}"#,
+                "unknown field `thread`",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "threads": "2"}"#,
+                "`threads` must be a non-negative integer",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "threads": 1.5}"#,
+                "`threads` must be a non-negative integer",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "gp_window": "64"}"#,
+                "`gp_window` must be a non-negative integer",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "seed": -1}"#,
+                "`seed` must be a non-negative integer",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "seed": "7"}"#,
+                "`seed` must be a non-negative integer",
+            ),
+            (
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "layer_memo": 1}"#,
+                "layer_memo",
             ),
         ] {
             let err = JobSpec::parse(body, defaults()).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
-    }
-
-    #[test]
-    fn fastexp_field_selects_exp_mode() {
-        let body = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
-                       "optimizer": "random-search", "seed": 3, "fastexp": "fast"}"#;
-        let spec = JobSpec::parse(body, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, Some(KernelExpMode::Fast));
-        let body = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
-                       "optimizer": "random-search", "seed": 3, "fastexp": "exact"}"#;
-        let spec = JobSpec::parse(body, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, Some(KernelExpMode::Exact));
-        // Absent field keeps the startup default.
-        let spec = JobSpec::parse(VALID, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, defaults().exp_mode);
     }
 
     #[test]

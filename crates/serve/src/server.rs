@@ -165,6 +165,10 @@ fn handle_connection(stream: TcpStream, manager: &JobManager, shutdown: &AtomicB
     {
         return;
     }
+    // Responses are single small writes; Nagle's algorithm would hold
+    // each one back until the client's delayed ACK. Best effort: a
+    // socket that refuses the option still works, only slower.
+    let _ = stream.set_nodelay(true);
     loop {
         if shutdown.load(Ordering::Relaxed) {
             break;

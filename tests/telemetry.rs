@@ -11,7 +11,7 @@ use autopilot::{
     PipelineCache, SuccessModel, TaskSpec,
 };
 use autopilot_obs as obs;
-use dse_opt::{CachedEvaluator, Evaluator};
+use dse_opt::Evaluator;
 use std::sync::{Arc, Mutex, MutexGuard};
 use uav_dynamics::UavSpec;
 
@@ -180,24 +180,6 @@ fn gp_window_plumbs_through_and_records_downdates() {
         downdates > 0,
         "a budget-24 SMS-EGO run with a 10-point GP window must slide the window"
     );
-}
-
-#[test]
-fn cached_evaluator_traffic_reaches_obs() {
-    let _guard = guard();
-    obs::force_metrics(true);
-    let before = obs::snapshot();
-
-    let cached = CachedEvaluator::new(evaluator());
-    let point = vec![5, 2, 3, 3, 3, 3, 3];
-    let a = cached.evaluate(&point);
-    let b = cached.evaluate(&point);
-    assert_eq!(a, b);
-
-    let after = obs::snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("dse.cached_evaluator.misses"), 1);
-    assert_eq!(delta("dse.cached_evaluator.hits"), 1);
 }
 
 #[test]
