@@ -157,7 +157,7 @@ fn bench_hv_incremental(c: &mut Criterion) {
 
 fn bench_sparse_inference(c: &mut Criterion) {
     // Exact vs sparse batched inference at an archive size past the
-    // SurrogateMode threshold — the tentpole trade: O(n·pool) exact
+    // sparse-engagement threshold (256 points) — the trade: O(n·pool) exact
     // prediction against O(m·pool) sparse with m = 64 inducing points.
     let mut group = c.benchmark_group("gp_sparse_inference");
     group.sample_size(10);

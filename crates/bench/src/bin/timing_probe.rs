@@ -18,18 +18,10 @@
 //!   difference is the full cost of the instrumentation, reported as
 //!   `obs_overhead_pct`,
 //! - `phase2_parallel_s` — default worker count, metrics on,
-//! - `reeval_history_s` — one uncached, unmemoized `evaluate_design`
-//!   pass over the history (the redundant work the memoized candidate
-//!   path removed),
-//! - `gp_every_iteration_s` / `gp_milestones_s` — the surrogate-refit
-//!   schedules of the pre-incremental engine and the current engine,
-//!   replayed over the same history,
 //! - `acquisition_scalar_s` / `acquisition_batched_s` /
 //!   `acquisition_batch_speedup` — per-point GP `predict` calls vs one
 //!   shared kernel cross-matrix with blocked triangular solves, over the
 //!   run history as the candidate pool,
-//! - `uncached_baseline_s` — a faithful reconstruction of the
-//!   pre-optimization sequential implementation,
 //!
 //! plus counters read back from the obs registry for exactly one
 //! instrumented sequential run (the snapshot is taken before the
@@ -44,11 +36,12 @@
 //!
 //! Set `AUTOPILOT_BENCH_BUDGET=<n>` to switch to the *scale probe*: one
 //! instrumented sequential Phase-2 run at the given budget (large enough
-//! to engage the sparse surrogate), emitting `BENCH_phase2_scale.json`
-//! with the acquisition-to-run span ratio, the result-assembly span
-//! (`span_dse_result_assemble_s`), the sparse-vs-exact inference
-//! speedup (`gp_sparse_speedup`), and the incremental-surrogate
-//! counters. The verify-script scale guard runs this at budget 2000.
+//! to engage the sparse surrogate past 256 points), emitting
+//! `BENCH_phase2_scale.json` with the acquisition-to-run span ratio,
+//! the result-assembly span (`span_dse_result_assemble_s`), the
+//! sparse-vs-exact inference speedup (`gp_sparse_speedup`), and the
+//! incremental-surrogate counters. The verify-script scale guard runs
+//! this at budget 2000.
 //!
 //! Cache-counter naming: the within-run `CandidateCache` hit counters are
 //! suffixed `_within_run` because continuous candidate keys are raw f64
@@ -183,7 +176,6 @@ fn main() {
     let gp_full_refits = seq_snap.counter("dse.gp.full_refit");
     let gp_rank1_extends = seq_snap.counter("dse.gp.rank1_extend");
     let gp_retargets = seq_snap.counter("bo.gp.retarget");
-    let gp_downdates = seq_snap.counter("bo.gp.downdate");
     let hv_incremental_scores = seq_snap.counter("bo.hv.incremental");
     let systolic_layers = seq_snap.counter("systolic.layers");
     let span_phase2_run_s = seq_snap.span_total_s("phase2.run");
@@ -226,49 +218,15 @@ fn main() {
         (second.cache_stats.hits, first.cache_stats.misses)
     };
 
-    // The pre-cache Phase 2 re-ran the simulator over the whole history
-    // a second time while assembling candidates; measure that pass with
-    // the layer memo disabled, the way the pre-optimization code paid it.
-    let unmemoized = evaluator.clone().with_layer_memo(false);
-    let reeval_history_s = min_time(OVERHEAD_REPS, || {
-        for e in &seq_out.result.evaluations {
-            let _ = std::hint::black_box(unmemoized.evaluate_design(&e.point));
-        }
-    });
-
-    // The pre-incremental engine refit every GP from scratch each
-    // iteration (O(n^3) per objective); the current engine extends the
-    // Cholesky factor and only refits at milestone growths. Replay both
-    // schedules over the actual run history to cost the difference.
+    // Batched vs scalar acquisition prediction: the surrogate pack the
+    // optimizer actually uses — one GP per objective sharing inputs and
+    // lengthscale — queried over the run history as the candidate pool.
     let space = autopilot::JointSpace::design_space();
     let xs: Vec<Vec<f64>> =
         seq_out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
     let ys: Vec<Vec<f64>> = (0..3)
         .map(|k| seq_out.result.evaluations.iter().map(|e| e.objectives[k]).collect())
         .collect();
-    let fit_all_at = |n: usize| {
-        for y in &ys {
-            let _ = std::hint::black_box(dse_opt::GaussianProcess::fit(&xs[..n], &y[..n]));
-        }
-    };
-    let init = 16.min(xs.len());
-    let gp_every_iteration_s = min_time(OVERHEAD_REPS, || {
-        for n in init..=xs.len() {
-            fit_all_at(n);
-        }
-    });
-    let gp_milestones_s = min_time(OVERHEAD_REPS, || {
-        let mut n = init;
-        while n <= xs.len() {
-            fit_all_at(n);
-            n += (n / 4).max(4);
-        }
-    });
-    let gp_savings_s = (gp_every_iteration_s - gp_milestones_s).max(0.0);
-
-    // Batched vs scalar acquisition prediction: the surrogate pack the
-    // optimizer actually uses — one GP per objective sharing inputs and
-    // lengthscale — queried over the run history as the candidate pool.
     let gp0 = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("objective 0 GP fits");
     let ls = gp0.lengthscale_sq();
     let gps: Vec<dse_opt::GaussianProcess> = ys
@@ -299,8 +257,6 @@ fn main() {
     });
     let acquisition_batch_speedup = acquisition_scalar_s / acquisition_batched_s.max(1e-12);
 
-    let uncached_baseline_s = phase2_sequential_s + reeval_history_s + gp_savings_s;
-
     let total = (cache_hits + cache_misses).max(1);
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),
@@ -312,15 +268,9 @@ fn main() {
         ("phase2_sequential_obs_on_s".into(), num(phase2_sequential_s)),
         ("obs_overhead_pct".into(), num(obs_overhead_pct)),
         ("obs_overhead_pct_raw".into(), num(obs_overhead_pct_raw)),
-        ("reeval_history_s".into(), num(reeval_history_s)),
-        ("gp_every_iteration_s".into(), num(gp_every_iteration_s)),
-        ("gp_milestones_s".into(), num(gp_milestones_s)),
         ("acquisition_scalar_s".into(), num(acquisition_scalar_s)),
         ("acquisition_batched_s".into(), num(acquisition_batched_s)),
         ("acquisition_batch_speedup".into(), num(acquisition_batch_speedup)),
-        ("uncached_baseline_s".into(), num(uncached_baseline_s)),
-        ("speedup_single_thread".into(), num(uncached_baseline_s / phase2_sequential_s)),
-        ("speedup_parallel".into(), num(uncached_baseline_s / phase2_parallel_s)),
         (
             "cache_note".into(),
             Value::Str(
@@ -341,7 +291,6 @@ fn main() {
         ("gp_full_refits".into(), num(gp_full_refits as f64)),
         ("gp_rank1_extends".into(), num(gp_rank1_extends as f64)),
         ("gp_retargets".into(), num(gp_retargets as f64)),
-        ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(hv_incremental_scores as f64)),
         (
             "systolic_memo_note".into(),
@@ -404,34 +353,17 @@ fn main() {
 /// `BENCH_phase2_scale.json` under `results/`; never touches the tracked
 /// full-probe numbers.
 ///
-/// Past the default [`dse_opt::SurrogateMode`] threshold (256 points)
-/// the optimizer engages the low-rank sparse surrogates automatically,
-/// so a budget-2000 run here exercises the scalable-inference path
-/// end-to-end; the verify-script guard asserts the acquisition-scoring
-/// span stays under half the total run span.
+/// Past 256 archived points the optimizer engages the low-rank sparse
+/// surrogates automatically, so a budget-2000 run here exercises the
+/// scalable-inference path end-to-end with the default engagement; the
+/// budget gate bounds the acquisition-scoring share of the run span.
 fn scale_probe(budget: usize) {
-    // Exact-GP window band (ROADMAP, PR 6 handoff): with the default
-    // window cap (256) equal to the sparse threshold (256) the exact
-    // window never slides — the sparse pack takes over at exactly the
-    // point the window would first move — so the rank-1 downdate path
-    // sat dormant and `gp_downdates` was structurally zero. Opening a
-    // band between the window cap and the sparse threshold makes the
-    // exact window slide (one downdate per objective-pack slide) for
-    // every archive size in (window, threshold].
-    const GP_WINDOW: usize = 192;
-    const GP_SPARSE_THRESHOLD: usize = 320;
-    const GP_SPARSE_INDUCING: usize = 64;
     let config = AutopilotConfig::paper(7);
     let density = ObstacleDensity::Dense;
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
     let evaluator = DssocEvaluator::new(db, density);
-    let phase2 = Phase2::new(config.optimizer, budget, config.seed)
-        .with_gp_window(GP_WINDOW)
-        .with_surrogate_mode(dse_opt::SurrogateMode::Sparse {
-            threshold: GP_SPARSE_THRESHOLD,
-            inducing: GP_SPARSE_INDUCING,
-        });
+    let phase2 = Phase2::new(config.optimizer, budget, config.seed);
 
     obs::force_metrics(true);
     obs::reset();
@@ -488,24 +420,10 @@ fn scale_probe(budget: usize) {
     });
     let gp_sparse_speedup = exact_batch_s / sparse_batch_s.max(1e-12);
 
-    // The band is only exercised once the archive outgrows the window;
-    // any budget comfortably past it must have slid the exact window and
-    // fired downdates (the counter this probe exists to keep alive).
-    let gp_downdates = snap.counter("bo.gp.downdate");
-    if budget > GP_WINDOW + 16 {
-        assert!(
-            gp_downdates > 0,
-            "budget {budget} exceeds the exact-GP window ({GP_WINDOW}); the window must have \
-             slid and recorded downdates"
-        );
-    }
-
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
-        ("gp_window".into(), num(GP_WINDOW as f64)),
-        ("gp_sparse_threshold".into(), num(GP_SPARSE_THRESHOLD as f64)),
-        ("gp_sparse_inducing".into(), num(GP_SPARSE_INDUCING as f64)),
+        ("gp_sparse_inducing".into(), num(snap.gauge("bo.gp.sparse.inducing").unwrap_or(0.0))),
         ("wall_s".into(), num(wall_s)),
         ("span_phase2_run_s".into(), num(span_phase2_run_s)),
         ("span_bo_acquisition_score_s".into(), num(span_score_s)),
@@ -522,7 +440,6 @@ fn scale_probe(budget: usize) {
         ("gp_full_refits".into(), num(snap.counter("dse.gp.full_refit") as f64)),
         ("gp_rank1_extends".into(), num(snap.counter("dse.gp.rank1_extend") as f64)),
         ("gp_retargets".into(), num(snap.counter("bo.gp.retarget") as f64)),
-        ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(snap.counter("bo.hv.incremental") as f64)),
         ("gp_panel_calls".into(), num(snap.counter("bo.gp.panel.calls") as f64)),
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),

@@ -1,11 +1,11 @@
 //! Per-job engine configuration.
 //!
 //! The DSE engine historically read its tuning knobs straight from the
-//! environment (`AUTOPILOT_THREADS`, `AUTOPILOT_GP_SPARSE`,
-//! `AUTOPILOT_LAYER_MEMO`, `AUTOPILOT_TRACE`) at whatever moment the
-//! knob was first needed. A multi-tenant server cannot work that way:
-//! two jobs in one process need *different* knobs, and mutating the
-//! process environment mid-flight is a race. [`JobConfig`] inverts the
+//! environment (`AUTOPILOT_THREADS`, `AUTOPILOT_LAYER_MEMO`,
+//! `AUTOPILOT_SWAP`) at whatever moment the knob was first needed. A
+//! multi-tenant server cannot work that way: two jobs in one process
+//! need *different* knobs, and mutating the process environment
+//! mid-flight is a race. [`JobConfig`] inverts the
 //! flow — the environment is captured **once at startup** (via
 //! [`autopilot_obs::env_once`], which warns if the live environment
 //! later diverges) into the [`JobConfig::from_env`] defaults, and every
@@ -14,36 +14,22 @@
 use crate::phase2::Phase2;
 use crate::pipeline::AutopilotConfig;
 use crate::swap::SwapMode;
-use autopilot_obs as obs;
-use dse_opt::SurrogateMode;
 use systolic_sim::LayerMemo;
 
-/// Explicit per-job engine knobs: thread count, GP history window,
-/// surrogate mode, layer-memo gating, and trace gating.
+/// Explicit per-job engine knobs: thread count, layer-memo gating, and
+/// SWaP mode.
 ///
 /// Construct with [`JobConfig::from_env`] (startup-captured environment
 /// defaults) and override per job with the builder methods. Results are
-/// bit-identical across `threads` values; the other knobs legitimately
-/// change the search trajectory and are part of a job's identity.
+/// bit-identical across `threads` and `layer_memo` values; the SWaP mode
+/// legitimately changes the objectives and is part of a job's identity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobConfig {
     /// Optimizer worker-pool size. `None` = the engine-wide default
     /// (startup `AUTOPILOT_THREADS`, else hardware parallelism).
     pub threads: Option<usize>,
-    /// Exact-GP history window cap for GP-based optimizers; `None` =
-    /// the optimizer's built-in default.
-    pub gp_window: Option<usize>,
-    /// Surrogate mode for GP-based optimizers; `None` = the startup
-    /// `AUTOPILOT_GP_SPARSE` default resolved at build time.
-    pub surrogate: Option<SurrogateMode>,
     /// Whether layer simulations go through the layer memo.
     pub layer_memo: bool,
-    /// Whether this job asks for per-event tracing. Tracing is a
-    /// process-global facility (`AUTOPILOT_TRACE`); this flag records
-    /// the job's request so the server can refuse or gate trace
-    /// export per job, but it cannot turn tracing on for one job and
-    /// off for a concurrent one within the same process.
-    pub trace: bool,
     /// Whether compute weight is enforced as an airframe SWaP constraint
     /// ([`SwapMode::Constraint`]) or ignored (legacy scalar-payload
     /// mode, the default).
@@ -52,19 +38,15 @@ pub struct JobConfig {
 
 impl JobConfig {
     /// The startup-environment defaults: `AUTOPILOT_THREADS`,
-    /// `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_LAYER_MEMO`, and
-    /// `AUTOPILOT_TRACE` as captured on first read (later mutations of
-    /// the live environment warn once and are ignored).
+    /// `AUTOPILOT_LAYER_MEMO`, and `AUTOPILOT_SWAP` as captured on first
+    /// read (later mutations of the live environment warn once and are
+    /// ignored).
     pub fn from_env() -> JobConfig {
         JobConfig {
-            // `None` defers to `dse_opt::par::worker_count()` /
-            // `SurrogateMode::from_env()`, both of which cache the
-            // startup environment through `env_once` themselves.
+            // `None` defers to `dse_opt::par::worker_count()`, which
+            // caches the startup environment through `env_once` itself.
             threads: None,
-            gp_window: None,
-            surrogate: None,
             layer_memo: LayerMemo::env_default_enabled(),
-            trace: obs::trace::enabled(),
             swap: SwapMode::from_env(),
         }
     }
@@ -76,27 +58,9 @@ impl JobConfig {
         self
     }
 
-    /// Caps the exact-GP history window.
-    pub fn with_gp_window(mut self, n: usize) -> JobConfig {
-        self.gp_window = Some(n);
-        self
-    }
-
-    /// Pins the surrogate mode.
-    pub fn with_surrogate(mut self, mode: SurrogateMode) -> JobConfig {
-        self.surrogate = Some(mode);
-        self
-    }
-
     /// Switches the layer memo on or off for this job.
     pub fn with_layer_memo(mut self, enabled: bool) -> JobConfig {
         self.layer_memo = enabled;
-        self
-    }
-
-    /// Records whether this job wants per-event tracing.
-    pub fn with_trace(mut self, enabled: bool) -> JobConfig {
-        self.trace = enabled;
         self
     }
 
@@ -113,17 +77,11 @@ impl JobConfig {
     }
 
     /// Applies this job's knobs to a [`Phase2`] runner.
-    pub fn apply_to_phase2(&self, mut phase2: Phase2) -> Phase2 {
-        if let Some(t) = self.threads {
-            phase2 = phase2.with_threads(t);
+    pub fn apply_to_phase2(&self, phase2: Phase2) -> Phase2 {
+        match self.threads {
+            Some(t) => phase2.with_threads(t),
+            None => phase2,
         }
-        if let Some(w) = self.gp_window {
-            phase2 = phase2.with_gp_window(w);
-        }
-        if let Some(mode) = self.surrogate {
-            phase2 = phase2.with_surrogate_mode(mode);
-        }
-        phase2
     }
 
     /// A [`Phase2`] runner for `config`, with this job's knobs applied.
@@ -147,17 +105,11 @@ mod tests {
     fn builders_override_env_defaults() {
         let cfg = JobConfig::from_env()
             .with_threads(3)
-            .with_gp_window(128)
-            .with_surrogate(SurrogateMode::Exact)
             .with_layer_memo(false)
-            .with_trace(false)
             .with_swap(SwapMode::Constraint);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.effective_threads(), 3);
-        assert_eq!(cfg.gp_window, Some(128));
-        assert_eq!(cfg.surrogate, Some(SurrogateMode::Exact));
         assert!(!cfg.layer_memo);
-        assert!(!cfg.trace);
         assert_eq!(cfg.swap, SwapMode::Constraint);
     }
 

@@ -486,22 +486,13 @@ pub struct Phase2 {
     budget: usize,
     seed: u64,
     threads: Option<usize>,
-    gp_window: Option<usize>,
-    surrogate: Option<dse_opt::SurrogateMode>,
 }
 
 impl Phase2 {
     /// Creates a Phase-2 runner. `optimizer` is a registry name (or an
     /// [`OptimizerChoice`], which converts to one).
     pub fn new(optimizer: impl Into<String>, budget: usize, seed: u64) -> Phase2 {
-        Phase2 {
-            optimizer: optimizer.into(),
-            budget: budget.max(4),
-            seed,
-            threads: None,
-            gp_window: None,
-            surrogate: None,
-        }
+        Phase2 { optimizer: optimizer.into(), budget: budget.max(4), seed, threads: None }
     }
 
     /// The registry name of the configured optimizer.
@@ -514,22 +505,6 @@ impl Phase2 {
     /// any thread count.
     pub fn with_threads(mut self, n: usize) -> Phase2 {
         self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Caps the exact-GP history window for GP-based optimizers (others
-    /// ignore it). Together with [`Phase2::with_surrogate_mode`] this
-    /// controls when the exact window slides (incremental downdates)
-    /// versus when the sparse surrogate takes over.
-    pub fn with_gp_window(mut self, n: usize) -> Phase2 {
-        self.gp_window = Some(n);
-        self
-    }
-
-    /// Pins the surrogate mode for GP-based optimizers, overriding the
-    /// `AUTOPILOT_GP_SPARSE` environment default (others ignore it).
-    pub fn with_surrogate_mode(mut self, mode: dse_opt::SurrogateMode) -> Phase2 {
-        self.surrogate = Some(mode);
         self
     }
 
@@ -596,8 +571,6 @@ impl Phase2 {
             budget: self.budget,
             threads: self.threads,
             seed_points: seeds,
-            gp_window: self.gp_window,
-            surrogate: self.surrogate,
         };
         let mut opt = registry::build_optimizer(&self.optimizer, &ctx)?;
         let result = opt.run_controlled(&space, &cached, self.budget, control)?;

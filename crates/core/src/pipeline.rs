@@ -194,11 +194,10 @@ impl AutoPilot {
     }
 
     /// Applies an explicit per-job engine configuration: worker count,
-    /// GP window, surrogate mode, and layer-memo gating all come from
-    /// `job` instead of the process environment. Thread counts never
-    /// change results; the GP knobs legitimately do, so the pipeline
-    /// cache (scenario-keyed, knob-agnostic) is only consulted when no
-    /// GP knob deviates from the default.
+    /// layer-memo gating, and SWaP mode all come from `job` instead of
+    /// the process environment. Thread counts and the layer memo never
+    /// change results; the SWaP constraint does, so the pipeline cache
+    /// (scenario-keyed, UAV-agnostic) is only consulted when it is off.
     pub fn with_job_config(mut self, job: JobConfig) -> AutoPilot {
         if let Some(t) = job.threads {
             self.threads = Some(t.max(1));
@@ -265,14 +264,11 @@ impl AutoPilot {
             };
             self.apply_swap(ev, uav)
         };
-        // GP knobs change the search trajectory, and the SWaP constraint
-        // makes Phase-2 objectives depend on the UAV's airframe; a job
-        // that deviates from the defaults must bypass the knob-agnostic,
+        // The SWaP constraint makes Phase-2 objectives depend on the
+        // UAV's airframe, so constraint-mode runs must bypass the
         // UAV-agnostic scenario cache.
-        let cacheable = !self.swap_mode().is_on()
-            && self.job.is_none_or(|j| j.gp_window.is_none() && j.surrogate.is_none());
         let phase2 = match &self.cache {
-            Some(cache) if cacheable => {
+            Some(cache) if !self.swap_mode().is_on() => {
                 cache.phase2_output(&self.config, &evaluator, self.threads)?
             }
             _ => {

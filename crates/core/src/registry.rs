@@ -19,7 +19,7 @@
 
 use dse_opt::{
     AnnealingOptimizer, ExhaustiveSearch, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch,
-    SmsEgoOptimizer, SurrogateMode,
+    SmsEgoOptimizer,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -40,25 +40,12 @@ pub struct OptimizerContext {
     pub threads: Option<usize>,
     /// Warm-start design points (may be empty).
     pub seed_points: Vec<Vec<usize>>,
-    /// Cap on exact-GP history points (surrogate window), when the
-    /// caller wants one. Factories for non-GP optimizers ignore it.
-    pub gp_window: Option<usize>,
-    /// Explicit surrogate mode, overriding the `AUTOPILOT_GP_SPARSE`
-    /// environment default. Factories for non-GP optimizers ignore it.
-    pub surrogate: Option<SurrogateMode>,
 }
 
 impl OptimizerContext {
     /// A context with no warm starts and default threading.
     pub fn new(seed: u64, budget: usize) -> OptimizerContext {
-        OptimizerContext {
-            seed,
-            budget,
-            threads: None,
-            seed_points: Vec::new(),
-            gp_window: None,
-            surrogate: None,
-        }
+        OptimizerContext { seed, budget, threads: None, seed_points: Vec::new() }
     }
 }
 
@@ -83,12 +70,6 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
                 .with_seed_points(ctx.seed_points.clone());
             if let Some(t) = ctx.threads {
                 opt = opt.with_threads(t);
-            }
-            if let Some(w) = ctx.gp_window {
-                opt = opt.with_max_gp_points(w);
-            }
-            if let Some(mode) = ctx.surrogate {
-                opt = opt.with_surrogate_mode(mode);
             }
             Box::new(opt)
         }),

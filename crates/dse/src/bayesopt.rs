@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::gp::{DistanceCache, GaussianProcess, SparseGaussianProcess, SurrogateMode};
+use crate::gp::{DistanceCache, GaussianProcess, SparseGaussianProcess};
 use crate::linalg::Matrix;
 use crate::par;
 use crate::pareto::{ContributionScorer, IncrementalFront};
@@ -26,30 +26,37 @@ use crate::space::DesignSpace;
 /// the per-objective GPs grow by rank-1 Cholesky extension (O(n²) per
 /// new observation) between milestone full refits of the lengthscale,
 /// range moves of the normalization *retarget* the existing
-/// factorization instead of refitting, window slides *downdate* it one
-/// oldest point at a time, objective ranges are running min/max rather
-/// than per-iteration rescans, candidate scores reuse a per-iteration
-/// [`ContributionScorer`] (no full-front rescan per candidate), and
-/// both the initial sampling and the acquisition scoring fan out over
-/// worker threads with results gathered in index order — so a run is
-/// bit-identical for a fixed seed regardless of thread count.
+/// factorization instead of refitting, objective ranges are running
+/// min/max rather than per-iteration rescans, candidate scores reuse a
+/// per-iteration [`ContributionScorer`] (no full-front rescan per
+/// candidate), and both the initial sampling and the acquisition
+/// scoring fan out over worker threads with results gathered in index
+/// order — so a run is bit-identical for a fixed seed regardless of
+/// thread count.
 ///
-/// Past the archive size set by [`SurrogateMode`] (default threshold
-/// 256, overridable via the `AUTOPILOT_GP_SPARSE` env variable), the
-/// per-objective surrogates switch from exact GPs to low-rank sparse
-/// ones over the *full* archive, keeping large-budget runs
-/// (paper-style budget-2000 fleet sweeps) out of O(n³) territory.
+/// The exact GPs train on the whole archive. Past 256 archived points
+/// the per-objective surrogates switch to low-rank sparse ones with 64
+/// inducing points, still over the *full* archive, keeping large-budget
+/// runs (paper-style budget-2000 fleet sweeps) out of O(n³) territory.
 #[derive(Debug, Clone)]
 pub struct SmsEgoOptimizer {
     seed: u64,
     init_samples: usize,
     candidate_pool: usize,
     beta: f64,
-    max_gp_points: usize,
-    surrogate: SurrogateMode,
+    sparse_threshold: usize,
+    sparse_inducing: usize,
     seed_points: Vec<Vec<usize>>,
     threads: Option<usize>,
 }
+
+/// Archive size past which [`SmsEgoOptimizer`] swaps its exact GPs for
+/// sparse ones.
+const SPARSE_THRESHOLD: usize = 256;
+
+/// Inducing-point count of the sparse surrogates (clamped to the
+/// archive size).
+const SPARSE_INDUCING: usize = 64;
 
 impl SmsEgoOptimizer {
     /// Creates an optimizer with the published default settings.
@@ -59,26 +66,23 @@ impl SmsEgoOptimizer {
             init_samples: 16,
             candidate_pool: 256,
             beta: 1.0,
-            max_gp_points: 256,
-            surrogate: SurrogateMode::from_env(),
+            sparse_threshold: SPARSE_THRESHOLD,
+            sparse_inducing: SPARSE_INDUCING,
             seed_points: Vec::new(),
             threads: None,
         }
     }
 
-    /// Overrides the surrogate engagement policy (default: read from the
-    /// `AUTOPILOT_GP_SPARSE` env variable, falling back to sparse past
-    /// 256 archived points).
-    pub fn with_surrogate_mode(mut self, mode: SurrogateMode) -> SmsEgoOptimizer {
-        self.surrogate = mode;
-        self
-    }
-
-    /// Overrides the exact-GP sliding-window size (the most recent `n`
-    /// archive points train the surrogates while the exact path is
-    /// active).
-    pub fn with_max_gp_points(mut self, n: usize) -> SmsEgoOptimizer {
-        self.max_gp_points = n.max(8);
+    /// Moves the sparse engagement point so unit tests reach the sparse
+    /// path (or never reach it) on small problems.
+    #[cfg(test)]
+    pub(crate) fn with_sparse_engagement(
+        mut self,
+        threshold: usize,
+        inducing: usize,
+    ) -> SmsEgoOptimizer {
+        self.sparse_threshold = threshold;
+        self.sparse_inducing = inducing;
         self
     }
 
@@ -274,19 +278,10 @@ impl SurrogatePack {
             SurrogatePack::Sparse(gps) => gps.iter_mut().zip(ys).all(|(gp, y)| gp.retarget(y)),
         }
     }
-
-    /// Downdates every member past its oldest training point. Only the
-    /// exact kind supports this (the sparse kind trains on the full
-    /// archive and never slides).
-    fn drop_oldest_all(&mut self) -> bool {
-        match self {
-            SurrogatePack::Exact(gps) => gps.iter_mut().all(GaussianProcess::drop_oldest),
-            SurrogatePack::Sparse(_) => false,
-        }
-    }
 }
 
-/// Per-objective GP surrogates kept current incrementally.
+/// Per-objective GP surrogates over the whole archive, kept current
+/// incrementally.
 ///
 /// Training targets are objectives normalized by the archive ranges.
 /// Between milestone refits the lengthscale (and noise) is frozen, which
@@ -297,24 +292,20 @@ impl SurrogatePack {
 ///   O(m²) sparse),
 /// * archive range moves are *retargets* — new normalized targets are
 ///   re-solved against the existing factorization (O(n²) / O(n·m))
-///   instead of refitting,
-/// * training-window slides are rank-1 Cholesky *downdates* of the
-///   oldest point (exact kind only; the sparse kind trains on the full
-///   archive).
+///   instead of refitting.
 ///
 /// Any failed incremental step falls back to a full refit, and the
 /// milestone schedule still refreshes the lengthscale every
 /// `max(n/4, 4)` points.
 struct Surrogates {
     pack: SurrogatePack,
-    start: usize,
     trained: usize,
     next_refit: usize,
     norm_mins: Vec<f64>,
     norm_maxs: Vec<f64>,
     /// Bumped on every full refit — the only event that can change the
     /// pack's training rows, inducing set, or lengthscale wholesale.
-    /// Incremental reuse (extend/retarget/downdate) keeps the
+    /// Incremental reuse (extend/retarget) keeps the
     /// generation, which is what lets the acquisition side's kernel
     /// panel cache survive across iterations.
     fit_generation: u64,
@@ -322,54 +313,36 @@ struct Surrogates {
 
 impl Surrogates {
     /// Brings the surrogates up to date with the archive, incrementally
-    /// when valid and refitting otherwise. Returns `None` when the
-    /// window cannot be fitted (degenerate geometry); the caller then
-    /// falls back to random sampling for this iteration.
+    /// when valid and refitting otherwise. `sparse_inducing` is `Some`
+    /// once the archive has outgrown the exact GPs. Returns `None` when
+    /// the archive cannot be fitted (degenerate geometry); the caller
+    /// then falls back to random sampling for this iteration.
     fn update(
         current: Option<Surrogates>,
         space: &DesignSpace,
         archive: &Archive,
-        max_gp_points: usize,
-        mode: SurrogateMode,
+        sparse_inducing: Option<usize>,
     ) -> Option<Surrogates> {
-        let n = archive.len();
-        let sparse_inducing = match mode {
-            SurrogateMode::Sparse { threshold, inducing } if n > threshold => Some(inducing),
-            _ => None,
-        };
-        // The sparse surrogate is low-rank in the inducing set, so it
-        // affords the full archive; the exact kind slides a window.
-        let start = if sparse_inducing.is_some() { 0 } else { n.saturating_sub(max_gp_points) };
         let next_generation = current.as_ref().map_or(1, |s| s.fit_generation + 1);
         if let Some(mut s) = current {
-            let compatible = s.pack.is_sparse() == sparse_inducing.is_some()
-                && s.start <= start
-                && n < s.next_refit;
-            if compatible {
-                if s.reuse(space, archive, start) {
+            if s.pack.is_sparse() == sparse_inducing.is_some() && archive.len() < s.next_refit {
+                if s.reuse(space, archive) {
                     return Some(s);
                 }
                 obs::add("dse.gp.extend_fallback", 1);
             }
         }
         obs::add("dse.gp.full_refit", 1);
-        Surrogates::full_fit(space, archive, start, sparse_inducing, next_generation)
+        Surrogates::full_fit(space, archive, sparse_inducing, next_generation)
     }
 
     /// Brings an existing pack current without refitting: retarget on
-    /// range moves, slide the window by downdates, extend new points.
-    fn reuse(&mut self, space: &DesignSpace, archive: &Archive, start: usize) -> bool {
+    /// range moves, then extend new points.
+    fn reuse(&mut self, space: &DesignSpace, archive: &Archive) -> bool {
         if (self.norm_mins != archive.mins || self.norm_maxs != archive.maxs)
             && !self.retarget(archive)
         {
             return false;
-        }
-        while self.start < start {
-            if !self.pack.drop_oldest_all() {
-                return false;
-            }
-            self.start += 1;
-            obs::add("bo.gp.downdate", 1);
         }
         self.try_extend(space, archive)
     }
@@ -380,11 +353,11 @@ impl Surrogates {
     /// `bo.front.rebuild`: a range move now costs two triangular solves
     /// per objective instead of a full refit.
     fn retarget(&mut self, archive: &Archive) -> bool {
-        let window = &archive.history[self.start..self.trained];
+        let trained = &archive.history[..self.trained];
         let n_obj = archive.mins.len();
         let ys: Vec<Vec<f64>> = (0..n_obj)
             .map(|obj| {
-                window
+                trained
                     .iter()
                     .map(|e| normalize(e.objectives[obj], archive.mins[obj], archive.maxs[obj]))
                     .collect()
@@ -422,12 +395,11 @@ impl Surrogates {
     fn full_fit(
         space: &DesignSpace,
         archive: &Archive,
-        start: usize,
         sparse_inducing: Option<usize>,
         fit_generation: u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
-        let train = &archive.history[start..];
+        let train = &archive.history;
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
         let mut dists = DistanceCache::new();
         for x in &xs {
@@ -472,7 +444,6 @@ impl Surrogates {
         };
         Some(Surrogates {
             pack,
-            start,
             trained: n,
             // Milestone schedule: refreshing the lengthscale every
             // max(n/4, 4) points amortizes the O(n³) refit to O(n²)
@@ -546,14 +517,10 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
             control.check()?;
             control.checkpoint(archive.len(), acquisition.raw_front.indices().len());
             let _iter = obs::span("bo.iteration");
+            let sparse_inducing =
+                (archive.len() > self.sparse_threshold).then_some(self.sparse_inducing);
             surrogates = obs::time("bo.surrogate_update", || {
-                Surrogates::update(
-                    surrogates.take(),
-                    space,
-                    &archive,
-                    self.max_gp_points,
-                    self.surrogate,
-                )
+                Surrogates::update(surrogates.take(), space, &archive, sparse_inducing)
             });
             let next = match &surrogates {
                 Some(s) => obs::time("bo.acquisition", || {
@@ -899,7 +866,7 @@ mod tests {
             SmsEgoOptimizer::new(9)
                 .with_init_samples(8)
                 .with_candidate_pool(32)
-                .with_surrogate_mode(SurrogateMode::Sparse { threshold: 12, inducing: 8 })
+                .with_sparse_engagement(12, 8)
                 .with_threads(threads)
                 .run(&space, &Bowl3, 30)
                 .unwrap()
@@ -921,14 +888,14 @@ mod tests {
             sparse_total += SmsEgoOptimizer::new(seed)
                 .with_init_samples(10)
                 .with_candidate_pool(64)
-                .with_surrogate_mode(SurrogateMode::Sparse { threshold: 16, inducing: 12 })
+                .with_sparse_engagement(16, 12)
                 .run(&space, &Bowl3, budget)
                 .unwrap()
                 .final_hypervolume();
             exact_total += SmsEgoOptimizer::new(seed)
                 .with_init_samples(10)
                 .with_candidate_pool(64)
-                .with_surrogate_mode(SurrogateMode::Exact)
+                .with_sparse_engagement(usize::MAX, 0)
                 .run(&space, &Bowl3, budget)
                 .unwrap()
                 .final_hypervolume();
@@ -937,26 +904,6 @@ mod tests {
             sparse_total >= exact_total * 0.95,
             "sparse BO {sparse_total:.4} clearly worse than exact {exact_total:.4}"
         );
-    }
-
-    #[test]
-    fn sliding_window_downdates_stay_deterministic() {
-        // A tiny exact-GP window on a longer run forces the downdate
-        // (drop-oldest) path every iteration past the window size.
-        let space = DesignSpace::new(vec![8, 8, 8]).unwrap();
-        let run = |threads| {
-            SmsEgoOptimizer::new(11)
-                .with_init_samples(8)
-                .with_candidate_pool(32)
-                .with_max_gp_points(12)
-                .with_surrogate_mode(SurrogateMode::Exact)
-                .with_threads(threads)
-                .run(&space, &Bowl3, 28)
-                .unwrap()
-        };
-        let base = run(1);
-        assert_eq!(base.evaluation_count(), 28);
-        assert_eq!(base, run(3), "downdate path must be thread-independent");
     }
 
     #[test]

@@ -1,104 +1,13 @@
 //! Gaussian-process regression with a squared-exponential kernel:
-//! an exact GP supporting incremental O(n²) updates and downdates, a
-//! low-rank Nyström/DTC sparse GP for large archives
-//! ([`SparseGaussianProcess`]), and the [`SurrogateMode`] switch that
-//! selects between them (`AUTOPILOT_GP_SPARSE`).
+//! an exact GP supporting incremental O(n²) updates, and a low-rank
+//! Nyström/DTC sparse GP for large archives ([`SparseGaussianProcess`]).
+//! The SMS-EGO loop switches from the first to the second at a fixed
+//! archive size (see [`crate::SmsEgoOptimizer`]).
 
 use crate::error::GpError;
 use crate::linalg::{dot, sq_dist, Matrix};
 use autopilot_obs as obs;
 use std::cell::RefCell;
-
-/// Environment variable selecting the surrogate inference mode for the
-/// SMS-EGO optimizer. Accepted values:
-///
-/// | value                        | meaning                                            |
-/// |------------------------------|----------------------------------------------------|
-/// | *(unset)*, `1`, `on`, `true` | default: exact below 256 points, sparse above      |
-/// | `0`, `off`, `false`, `exact` | always exact (sliding-window) GPs                  |
-/// | `N`                          | sparse past `N` points, `max(N/4, 16)` inducing    |
-/// | `N:M`                        | sparse past `N` points with `M` inducing points    |
-pub const GP_SPARSE_ENV: &str = "AUTOPILOT_GP_SPARSE";
-
-/// Which surrogate the Bayesian-optimization loop trains as the archive
-/// grows. Exact GP inference is O(n³) per refit and O(n²) per candidate
-/// batch row; the sparse mode caps both at the inducing-point count `m`,
-/// trading a bounded approximation error for archive-scale budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SurrogateMode {
-    /// Always exact (sliding-window) GPs, regardless of archive size.
-    Exact,
-    /// Exact while the training window holds at most `threshold` points;
-    /// past that, a [`SparseGaussianProcess`] with `inducing` inducing
-    /// points trained on the *full* archive (no window).
-    Sparse {
-        /// Training-set size past which the sparse path engages.
-        threshold: usize,
-        /// Number of inducing points (clamped to the training size).
-        inducing: usize,
-    },
-}
-
-impl SurrogateMode {
-    /// The default threshold/inducing configuration: exact below n≈256,
-    /// 64 inducing points above.
-    pub const fn default_sparse() -> SurrogateMode {
-        SurrogateMode::Sparse { threshold: 256, inducing: 64 }
-    }
-
-    /// Reads the mode from [`GP_SPARSE_ENV`]; unset or unparsable values
-    /// fall back to [`SurrogateMode::default_sparse`] (with a warn-level
-    /// obs event for the unparsable case).
-    ///
-    /// The variable is captured **once per process** (via
-    /// [`autopilot_obs::env_once`]); later env mutations warn once and
-    /// are otherwise ignored. Per-job surrogate modes go through
-    /// [`SmsEgoOptimizer::with_surrogate_mode`] instead.
-    ///
-    /// [`SmsEgoOptimizer::with_surrogate_mode`]: crate::SmsEgoOptimizer::with_surrogate_mode
-    pub fn from_env() -> SurrogateMode {
-        static CACHED: std::sync::OnceLock<SurrogateMode> = std::sync::OnceLock::new();
-        // env_once re-checks the live environment for drift (warning
-        // once) while pinning the value used for parsing.
-        let raw = autopilot_obs::env_once(GP_SPARSE_ENV);
-        *CACHED.get_or_init(|| {
-            let raw = match raw {
-                Some(v) => v,
-                None => return SurrogateMode::default_sparse(),
-            };
-            match SurrogateMode::parse(&raw) {
-                Some(mode) => mode,
-                None => {
-                    autopilot_obs::obs_warn!(
-                        "gp: {GP_SPARSE_ENV}={raw:?} is not a recognized surrogate mode; \
-                         using the default (sparse past 256 points)"
-                    );
-                    SurrogateMode::default_sparse()
-                }
-            }
-        })
-    }
-
-    /// Parses the [`GP_SPARSE_ENV`] grammar; `None` for unrecognized
-    /// input.
-    pub fn parse(raw: &str) -> Option<SurrogateMode> {
-        let v = raw.trim().to_ascii_lowercase();
-        match v.as_str() {
-            "" | "1" | "on" | "true" => Some(SurrogateMode::default_sparse()),
-            "0" | "off" | "false" | "exact" => Some(SurrogateMode::Exact),
-            _ => {
-                if let Some((t, m)) = v.split_once(':') {
-                    let threshold = t.parse::<usize>().ok()?.max(8);
-                    let inducing = m.parse::<usize>().ok()?.max(2);
-                    Some(SurrogateMode::Sparse { threshold, inducing })
-                } else {
-                    let threshold = v.parse::<usize>().ok()?.max(8);
-                    Some(SurrogateMode::Sparse { threshold, inducing: (threshold / 4).max(16) })
-                }
-            }
-        }
-    }
-}
 
 /// The kernel exponent coefficient with the lengthscale division hoisted
 /// out of the inner loops: every kernel entry is
@@ -387,46 +296,6 @@ impl GaussianProcess {
         }
         self.y.clear();
         self.y.extend_from_slice(y);
-        self.refresh_targets();
-        true
-    }
-
-    /// Removes the *oldest* training point in O(n²) by downdating the
-    /// Cholesky factor (see [`Matrix::delete_lower_first`]), keeping the
-    /// current lengthscale frozen. This is how the BO loop slides its
-    /// training window forward without refactorizing.
-    ///
-    /// Returns `false` — leaving the GP unchanged — when fewer than
-    /// three points remain (a GP needs two) or the downdate degenerates
-    /// numerically.
-    pub fn drop_oldest(&mut self) -> bool {
-        if self.x.len() <= 2 || !self.chol.delete_lower_first() {
-            return false;
-        }
-        self.x.remove(0);
-        self.y.remove(0);
-        self.refresh_targets();
-        true
-    }
-
-    /// Truncates the GP back to its first `n` training points.
-    ///
-    /// Because [`Matrix::extend_lower`] never rewrites the leading block
-    /// of the factor, truncation is the *bitwise-exact* inverse of a
-    /// sequence of [`GaussianProcess::extend`] calls: truncating an
-    /// extended GP back to its pre-extension size and re-extending with
-    /// the same points reproduces the factor — and therefore every
-    /// prediction — bit for bit.
-    ///
-    /// Returns `false` — leaving the GP unchanged — when `n < 2` or `n`
-    /// exceeds the training size.
-    pub fn truncate(&mut self, n: usize) -> bool {
-        if n < 2 || n > self.x.len() {
-            return false;
-        }
-        self.chol.truncate_lower(n);
-        self.x.truncate(n);
-        self.y.truncate(n);
         self.refresh_targets();
         true
     }
@@ -1276,24 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_mode_grammar() {
-        use SurrogateMode::*;
-        assert_eq!(SurrogateMode::parse(""), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("1"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("on"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("true"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("0"), Some(Exact));
-        assert_eq!(SurrogateMode::parse("off"), Some(Exact));
-        assert_eq!(SurrogateMode::parse("exact"), Some(Exact));
-        assert_eq!(SurrogateMode::parse("300:48"), Some(Sparse { threshold: 300, inducing: 48 }));
-        assert_eq!(SurrogateMode::parse("100"), Some(Sparse { threshold: 100, inducing: 25 }));
-        // Floors keep degenerate configurations usable.
-        assert_eq!(SurrogateMode::parse("4:1"), Some(Sparse { threshold: 8, inducing: 2 }));
-        assert_eq!(SurrogateMode::parse("banana"), None);
-        assert_eq!(SurrogateMode::parse("12:"), None);
-    }
-
-    #[test]
     fn sparse_with_all_inducing_matches_exact() {
         // DTC with the inducing set equal to the full training set is the
         // exact noisy GP posterior, up to the tiny C_mm ridge. This is the
@@ -1442,61 +1293,5 @@ mod tests {
         assert!(!gp.retarget(&y2[..4]));
         assert!(!gp.retarget(&[f64::NAN; 9]));
         assert_eq!(gp.predict(&[0.3]), before);
-    }
-
-    #[test]
-    fn drop_oldest_tracks_fresh_fit_on_suffix() {
-        let x = grid1d(10);
-        let y: Vec<f64> = x.iter().map(|p| (2.5 * p[0]).sin() + p[0]).collect();
-        let mut gp = GaussianProcess::fit(&x, &y).unwrap();
-        let ls = gp.lengthscale_sq();
-        assert!(gp.drop_oldest());
-        assert!(gp.drop_oldest());
-        assert_eq!(gp.len(), 8);
-        let fresh = GaussianProcess::fit_with_lengthscale(&x[2..], &y[2..], ls).unwrap();
-        for q in [0.3, 0.55, 0.81] {
-            let (md, vd) = gp.predict(&[q]);
-            let (mf, vf) = fresh.predict(&[q]);
-            assert!((md - mf).abs() < 1e-6, "mean {md} vs {mf} at {q}");
-            assert!((vd - vf).abs() < 1e-6, "var {vd} vs {vf} at {q}");
-        }
-    }
-
-    #[test]
-    fn drop_oldest_refuses_to_shrink_below_two() {
-        let x = grid1d(3);
-        let y = vec![0.0, 0.5, 1.0];
-        let mut gp = GaussianProcess::fit(&x, &y).unwrap();
-        assert!(gp.drop_oldest());
-        assert_eq!(gp.len(), 2);
-        assert!(!gp.drop_oldest(), "must not shrink below 2 points");
-        assert_eq!(gp.len(), 2);
-    }
-
-    #[test]
-    fn truncate_then_reextend_is_bitwise_identical() {
-        // truncate() removes trailing observations without touching the
-        // retained factor rows, so replaying the same extends must land on
-        // bit-identical state — the downdate-then-extend round trip.
-        let x = grid1d(11);
-        let y: Vec<f64> = x.iter().map(|p| p[0] * p[0] - 0.3 * p[0]).collect();
-        let mut gp = GaussianProcess::fit(&x[..7], &y[..7]).unwrap();
-        for i in 7..11 {
-            assert!(gp.extend(&x[i], y[i]));
-        }
-        let probe: Vec<Vec<f64>> = (0..9).map(|j| vec![j as f64 * 0.12 + 0.01]).collect();
-        let reference = gp.predict_batch(&probe);
-        assert!(gp.truncate(7));
-        assert_eq!(gp.len(), 7);
-        for i in 7..11 {
-            assert!(gp.extend(&x[i], y[i]));
-        }
-        let replay = gp.predict_batch(&probe);
-        for ((rm, rv), (pm, pv)) in reference.iter().zip(&replay) {
-            assert_eq!(rm.to_bits(), pm.to_bits(), "round-trip mean drifted");
-            assert_eq!(rv.to_bits(), pv.to_bits(), "round-trip variance drifted");
-        }
-        assert!(!gp.truncate(1), "truncate below 2 must refuse");
-        assert!(!gp.truncate(99), "truncate beyond len must refuse");
     }
 }

@@ -77,10 +77,7 @@ pub use error::{DseError, EvalError, GpError};
 pub use evaluator::{Evaluator, MultiObjectiveOptimizer};
 pub use exhaustive::ExhaustiveSearch;
 pub use ga::Nsga2Optimizer;
-pub use gp::{
-    correlation_panel, DistanceCache, GaussianProcess, SparseGaussianProcess, SurrogateMode,
-    GP_SPARSE_ENV,
-};
+pub use gp::{correlation_panel, DistanceCache, GaussianProcess, SparseGaussianProcess};
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};
 pub use space::{DesignSpace, SpaceError};

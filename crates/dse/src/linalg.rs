@@ -440,60 +440,6 @@ impl Matrix {
         true
     }
 
-    /// Cholesky *downdate* that deletes the first row and column of the
-    /// factorized matrix: given lower-triangular `L` with `L·Lᵀ = A`,
-    /// replaces `L` with the factor of `A` minus its first row/column,
-    /// in O(n²) instead of an O(n³) refactorization.
-    ///
-    /// Partitioning `L = [[l₁₁, 0], [l₂₁, L₂₂]]` gives the trailing
-    /// block `A₂₂ = L₂₂·L₂₂ᵀ + l₂₁·l₂₁ᵀ`, so the new factor is the
-    /// rank-1 *update* of `L₂₂` by the deleted column `l₂₁` — an
-    /// additive update, hence unconditionally positive definite (no
-    /// cancellation, unlike a general downdate). Returns `false` with
-    /// `self` untouched only on numerical degeneracy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or has fewer than two rows.
-    pub fn delete_lower_first(&mut self) -> bool {
-        assert_eq!(self.rows, self.cols, "delete_lower_first requires a square matrix");
-        assert!(self.rows >= 2, "cannot delete the only row");
-        let n = self.rows;
-        let l21: Vec<f64> = (1..n).map(|i| self.data[i * n]).collect();
-        let mut trailing = Matrix::zeros(n - 1, n - 1);
-        for i in 1..n {
-            for j in 1..=i {
-                trailing.data[(i - 1) * (n - 1) + (j - 1)] = self.data[i * n + j];
-            }
-        }
-        if !trailing.rank1_update_lower(&l21) {
-            return false;
-        }
-        *self = trailing;
-        true
-    }
-
-    /// Truncates a lower-triangular factor to its leading `n×n` block —
-    /// the exact inverse of [`Matrix::extend_lower`]: the retained
-    /// entries are bit-identical to what they were before any
-    /// extension, because bordering never rewrites the leading block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `n > self.rows()`.
-    pub fn truncate_lower(&mut self, n: usize) {
-        assert_eq!(self.rows, self.cols, "truncate_lower requires a square matrix");
-        assert!(n <= self.rows, "cannot truncate {} rows to {n}", self.rows);
-        let old = self.rows;
-        let mut data = Vec::with_capacity(n * n);
-        for r in 0..n {
-            data.extend_from_slice(&self.data[r * old..r * old + n]);
-        }
-        self.rows = n;
-        self.cols = n;
-        self.data = data;
-    }
-
     /// Gram matrix `AᵀA` of this `n×m` matrix (an `m×m` symmetric
     /// result), accumulated row-by-row so the `n`-long dimension streams
     /// through the cache once — the `CₙₘᵀCₙₘ` product of the sparse-GP
@@ -737,34 +683,6 @@ mod tests {
                 assert!((l[(r, c)] - direct[(r, c)]).abs() < 1e-10, "({r},{c})");
             }
         }
-    }
-
-    #[test]
-    fn delete_lower_first_matches_trailing_cholesky() {
-        let a = spd(7, 1.5);
-        let mut l = a.cholesky().expect("SPD");
-        assert!(l.delete_lower_first());
-        let trailing = Matrix::from_fn(6, 6, |r, c| a[(r + 1, c + 1)]);
-        let direct = trailing.cholesky().expect("SPD");
-        assert_eq!(l.rows(), 6);
-        for r in 0..6 {
-            for c in 0..=r {
-                assert!((l[(r, c)] - direct[(r, c)]).abs() < 1e-10, "({r},{c})");
-            }
-        }
-    }
-
-    #[test]
-    fn truncate_lower_inverts_extend_lower_bitwise() {
-        let a = spd(5, 2.5);
-        let l4 = Matrix::from_fn(4, 4, |r, c| a[(r, c)]).cholesky().expect("SPD block");
-        let mut grown = l4.clone();
-        let border: Vec<f64> = (0..4).map(|r| a[(r, 4)]).collect();
-        let w = grown.solve_lower(&border);
-        let d2 = a[(4, 4)] - w.iter().map(|x| x * x).sum::<f64>();
-        grown.extend_lower(&w, d2.sqrt());
-        grown.truncate_lower(4);
-        assert_eq!(grown, l4, "truncation must restore the pre-extension factor exactly");
     }
 
     #[test]

@@ -125,3 +125,38 @@ fn optimizers_bit_identical_across_thread_counts() {
         }
     }
 }
+
+/// Default-config SMS-EGO past the sparse-engagement threshold: the
+/// first 256 archive points train exact GPs, after which the surrogate
+/// pack switches to the sparse inducing-point kind. The small candidate
+/// pool keeps the 300-evaluation run to a few seconds. Pins the exact →
+/// sparse handover the same way [`GOLDENS`] pins the short runs
+/// (fingerprint, then final-hypervolume bits).
+const SPARSE_HANDOVER_GOLDEN: (u64, u64) = (0xa671_b242_aeee_fd14, 0x401f_3d8f_1e54_d49e);
+
+#[test]
+fn sparse_handover_golden_holds_at_every_thread_count() {
+    let (fp, hv_bits) = SPARSE_HANDOVER_GOLDEN;
+    for threads in [1usize, 2] {
+        let r = SmsEgoOptimizer::new(13)
+            .with_candidate_pool(16)
+            .with_threads(threads)
+            .run(&space(), &Bowl, 300)
+            .unwrap();
+        assert_eq!(r.evaluation_count(), 300);
+        if fp == 0 {
+            eprintln!(
+                "golden: (0x{:016x}, 0x{:016x}),",
+                fingerprint(&r),
+                r.final_hypervolume().to_bits()
+            );
+            continue;
+        }
+        assert_eq!(fingerprint(&r), fp, "evaluation stream diverged at {threads} threads");
+        assert_eq!(
+            r.final_hypervolume().to_bits(),
+            hv_bits,
+            "final hypervolume diverged at {threads} threads"
+        );
+    }
+}

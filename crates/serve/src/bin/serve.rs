@@ -7,8 +7,9 @@
 //! Worker-pool size comes from `AUTOPILOT_SERVE_WORKERS` (default 2);
 //! per-job engine defaults are captured from the environment once at
 //! startup (`AUTOPILOT_THREADS`, `AUTOPILOT_LAYER_MEMO`,
-//! `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_TRACE`) and can be overridden per
-//! request. SIGTERM/SIGINT drain the server gracefully.
+//! `AUTOPILOT_SWAP`) and can be overridden per request;
+//! `AUTOPILOT_TRACE` switches tracing for the whole process.
+//! SIGTERM/SIGINT drain the server gracefully.
 
 use autopilot::JobConfig;
 use autopilot_serve::{JobManager, Server};

@@ -17,7 +17,9 @@
 //! full). Cancellation (`DELETE /jobs/:id`) is cooperative: each job
 //! carries a [`RunControl`] token threaded through the optimizer's
 //! inner loop, which also publishes progress (evaluations done, front
-//! size) for `GET /jobs/:id`.
+//! size) for `GET /jobs/:id`. A panic inside one job's pipeline is
+//! caught at the worker: the job ends `Failed` with the panic message,
+//! `serve.jobs.panicked` is bumped, and the worker takes the next job.
 //!
 //! Jobs of the same scenario share the process-lifetime caches in
 //! [`SharedCaches`]: one sharded [`LayerMemo`] (scenario-independent)
@@ -37,7 +39,9 @@ use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use autopilot_shard::{ShardStats, ShardedMap};
 use dse_opt::RunControl;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use systolic_sim::{LayerMemo, MemoStats};
@@ -53,17 +57,8 @@ const CANDIDATE_CACHE_CAPACITY: usize = 65_536;
 
 /// Every field a `POST /jobs` body may carry; any other key is rejected
 /// so a misspelled or retired knob fails loudly instead of being ignored.
-const JOB_FIELDS: [&str; 9] = [
-    "uav_class",
-    "scenario",
-    "budget",
-    "optimizer",
-    "seed",
-    "threads",
-    "gp_window",
-    "layer_memo",
-    "swap",
-];
+const JOB_FIELDS: [&str; 8] =
+    ["uav_class", "scenario", "budget", "optimizer", "seed", "threads", "layer_memo", "swap"];
 
 /// Reads an optional non-negative integer field: absent or `null` is
 /// `None`, anything but a non-negative integer is an error naming it.
@@ -89,8 +84,8 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Deterministic seed (default 7, the repo-wide experiment seed).
     pub seed: u64,
-    /// Per-job engine knobs (threads, GP window, surrogate, memo,
-    /// trace), defaulting to the server's startup-captured environment.
+    /// Per-job engine knobs (threads, layer memo, SWaP mode),
+    /// defaulting to the server's startup-captured environment.
     pub config: JobConfig,
 }
 
@@ -150,9 +145,6 @@ impl JobSpec {
                 return Err("`threads` must be >= 1".into());
             }
             config = config.with_threads(t as usize);
-        }
-        if let Some(w) = optional_u64(&root, "gp_window")? {
-            config = config.with_gp_window(w as usize);
         }
         match root.get("layer_memo") {
             None | Some(Value::Null) => {}
@@ -574,7 +566,16 @@ impl JobManager {
             st.state = JobState::Running;
         }
         obs::add("serve.jobs.started", 1);
-        let outcome = run_pipeline(&self.caches, job);
+        // A panicking pipeline must cost only its own job: the worker
+        // thread survives to take the next one. Every lock the pipeline
+        // can hold recovers from poisoning, so nothing it shares is left
+        // unusable.
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| run_pipeline(&self.caches, job)));
+        let panicked = run.is_err();
+        let outcome = run.unwrap_or_else(|payload| {
+            obs::add("serve.jobs.panicked", 1);
+            Err(format!("job panicked: {}", panic_message(payload.as_ref())))
+        });
         let mut st = job.status();
         match outcome {
             Ok(summary_json) => {
@@ -583,7 +584,7 @@ impl JobManager {
                 obs::add("serve.jobs.completed", 1);
             }
             Err(message) => {
-                if job.control.is_cancelled() {
+                if job.control.is_cancelled() && !panicked {
                     st.state = JobState::Cancelled;
                     obs::add("serve.jobs.cancelled", 1);
                 } else {
@@ -593,6 +594,15 @@ impl JobManager {
                 }
             }
         }
+    }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a
+/// `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
     }
 }
 
@@ -667,10 +677,10 @@ mod tests {
         assert_eq!((spec.budget, spec.seed), (12, 3));
         // Every accepted knob parses together.
         let all = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
-                      "optimizer": "random-search", "seed": 3, "threads": 2, "gp_window": 64,
+                      "optimizer": "random-search", "seed": 3, "threads": 2,
                       "layer_memo": false, "swap": "off"}"#;
         let spec = JobSpec::parse(all, defaults()).unwrap();
-        assert_eq!((spec.config.threads, spec.config.gp_window), (Some(2), Some(64)));
+        assert_eq!(spec.config.threads, Some(2));
         assert!(!spec.config.layer_memo);
 
         for (body, needle) in [
@@ -722,8 +732,8 @@ mod tests {
                 "`threads` must be a non-negative integer",
             ),
             (
-                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "gp_window": "64"}"#,
-                "`gp_window` must be a non-negative integer",
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "gp_window": 64}"#,
+                "unknown field `gp_window`",
             ),
             (
                 r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "seed": -1}"#,
@@ -808,6 +818,76 @@ mod tests {
             pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
         let via_cli = RunSummary::from_result(&result).to_json().unwrap();
         assert_eq!(via_server, via_cli, "server pipeline must be bit-identical to the CLI path");
+    }
+
+    /// Evaluates a few designs, then panics: a stand-in for any bug that
+    /// unwinds out of a job's pipeline mid-run.
+    struct PanicsMidRun;
+
+    impl dse_opt::MultiObjectiveOptimizer for PanicsMidRun {
+        fn name(&self) -> &str {
+            "panics-mid-run"
+        }
+
+        fn run_controlled(
+            &mut self,
+            space: &dse_opt::DesignSpace,
+            evaluator: &dyn dse_opt::Evaluator,
+            _budget: usize,
+            _control: &RunControl,
+        ) -> Result<dse_opt::OptimizationResult, dse_opt::DseError> {
+            for point in space.iter_points().take(3) {
+                evaluator.evaluate(&point)?;
+            }
+            panic!("optimizer blew up mid-run");
+        }
+    }
+
+    #[test]
+    fn panicking_job_fails_and_worker_survives() {
+        autopilot::register_optimizer("panics-mid-run", |_| Box::new(PanicsMidRun));
+        let mgr = Arc::new(JobManager::new(4, defaults()));
+        let worker = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || {
+                while let Some(job) = mgr.next_job() {
+                    mgr.execute(&job);
+                }
+            })
+        };
+        let doomed = mgr
+            .submit(
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
+                    "optimizer": "panics-mid-run", "seed": 3}"#,
+            )
+            .unwrap();
+        let next = mgr.submit(VALID).unwrap();
+        // Without isolation the only worker dies on the first job and the
+        // second never leaves `Queued`; fail instead of hanging.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while !matches!(next.state(), JobState::Completed | JobState::Failed) {
+            assert!(std::time::Instant::now() < deadline, "the job after the panic never ran");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        mgr.shutdown();
+        worker.join().expect("the worker thread must survive a panicking job");
+
+        assert_eq!(doomed.state(), JobState::Failed);
+        let error = doomed.error().unwrap();
+        assert!(error.contains("optimizer blew up mid-run"), "{error}");
+        assert_eq!(next.state(), JobState::Completed, "error: {:?}", next.error());
+
+        let config = autopilot::AutopilotConfig::fast(3)
+            .with_budget(12)
+            .with_optimizer(autopilot::OptimizerChoice::Random);
+        let pilot = autopilot::AutoPilot::new(config).with_job_config(defaults());
+        let result =
+            pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
+        assert_eq!(
+            next.result_json().unwrap(),
+            RunSummary::from_result(&result).to_json().unwrap(),
+            "the job after a panic must be byte-identical to the CLI path"
+        );
     }
 
     #[test]

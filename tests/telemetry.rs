@@ -160,29 +160,6 @@ fn phase2_layers_simulated_equal_memo_misses() {
 }
 
 #[test]
-fn gp_window_plumbs_through_and_records_downdates() {
-    let _guard = guard();
-    obs::force_metrics(true);
-
-    // Regression: the default exact-GP window equalled the sparse
-    // threshold, so the window never slid and `bo.gp.downdate` stayed 0
-    // forever. With an explicit window smaller than the budget the
-    // incremental Cholesky downdate path must actually fire.
-    let ev = evaluator();
-    let before = obs::snapshot();
-    let phase2 = Phase2::new(OptimizerChoice::SmsEgo, 24, 5)
-        .with_gp_window(10)
-        .with_surrogate_mode(dse_opt::SurrogateMode::Exact);
-    phase2.run(&ev).expect("phase 2 runs");
-    let after = obs::snapshot();
-    let downdates = after.counter("bo.gp.downdate") - before.counter("bo.gp.downdate");
-    assert!(
-        downdates > 0,
-        "a budget-24 SMS-EGO run with a 10-point GP window must slide the window"
-    );
-}
-
-#[test]
 fn telemetry_snapshot_round_trips_through_json() {
     let _guard = guard();
     obs::force_metrics(true);
